@@ -15,7 +15,7 @@
 //! * `refresh_64_x4` — + `cons` (consensus λ=0.5/min) and `ldr`
 //!   (leader-weighted/max): the crash-harness registry plus one.
 //! * `register_grouping` — `form_named` of one extra grouping on a
-//!   standing state: what a live `POST /grouping` pays at scale (a full
+//!   standing state: what a live `POST /v1/grouping` pays at scale (a full
 //!   formation; the matrix/prefs are shared, never copied).
 //!
 //! Sizes follow `incremental_refresh`: 50k users x 5k items at
@@ -93,7 +93,7 @@ fn multi_grouping_refresh_benches(c: &mut Criterion) {
         });
     }
 
-    // What a live `POST /grouping` costs: one full formation of a new
+    // What a live `POST /v1/grouping` costs: one full formation of a new
     // named grouping over the standing (shared) matrix + prefs.
     {
         let state: Arc<ServeState> = ServeState::new(

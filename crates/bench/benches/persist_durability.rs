@@ -9,7 +9,7 @@
 //!   `--checkpoint-interval-ms` can be.
 //! * `checkpoint_load` — decode + verify the newest checkpoint; the fixed
 //!   part of every warm restart.
-//! * `wal_append_always` / `wal_append_interval` — the per-`/rate` tax of
+//! * `wal_append_always` / `wal_append_interval` — the per-`/v1/rate` tax of
 //!   `--wal-sync always` (fsync before ack) vs `interval` (buffered).
 //! * `wal_scan_4096` — decode + CRC-check 4096 journal records; the
 //!   variable part of a warm restart (replay applies on top of this).

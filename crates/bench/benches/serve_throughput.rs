@@ -4,15 +4,15 @@
 //! formation) rather than socket overhead.
 //!
 //! * `group_lookup` / `recommend` — the lock-free read path under a
-//!   current snapshot (`GET /group/{u}`, `GET /recommend/{g}`).
-//! * `rate_enqueue` — accepting one `POST /rate` into the journal
+//!   current snapshot (`GET /v1/group/{u}`, `GET /v1/recommend/{g}`).
+//! * `rate_enqueue` — accepting one `POST /v1/rate` into the journal
 //!   (validation + journal push, no re-formation).
 //! * `refresh_pass_64` — one bounded background pass applying 64 pending
 //!   updates: incremental matrix/pref patching plus the re-formation.
 //! * `cold_rebuild` — what the same refresh would cost without the
 //!   incremental path (full `PrefIndex::build` + formation), for the
 //!   ratio the serving layer exists to win.
-//! * `form_coalesced_8` — eight concurrent same-config `/form` requests
+//! * `form_coalesced_8` — eight concurrent same-config `/v1/form` requests
 //!   answered by one batched formation run.
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -24,13 +24,13 @@ use gf_serve::{HttpRequest, ServeConfig, ServeState};
 use std::sync::Arc;
 use std::time::Duration;
 
-fn get(state: &ServeState, path: String) -> u16 {
+fn get(state: &ServeState, path: String, query: &str) -> u16 {
     route(
         state,
         &HttpRequest {
             method: "GET".into(),
             path,
-            query: String::new(),
+            query: query.into(),
             body: String::new(),
             keep_alive: true,
         },
@@ -64,7 +64,7 @@ fn serve_benches(c: &mut Criterion) {
     g.bench_function("group_lookup", |b| {
         b.iter(|| {
             u = (u + 7919) % n_users;
-            assert_eq!(get(&state, format!("/group/{u}")), 200);
+            assert_eq!(get(&state, format!("/v1/group/{u}"), ""), 200);
         })
     });
     let groups = state.snapshot().default_grouping().formation.grouping.len();
@@ -72,7 +72,9 @@ fn serve_benches(c: &mut Criterion) {
     g.bench_function("recommend", |b| {
         b.iter(|| {
             gi = (gi + 3) % groups;
-            assert_eq!(get(&state, format!("/recommend/{gi}")), 200);
+            // The stored list as is, without the candidate filter.
+            let path = format!("/v1/recommend/{gi}");
+            assert_eq!(get(&state, path, "exclude_rated=false"), 200);
         })
     });
 

@@ -43,12 +43,10 @@
 pub mod bucket;
 mod greedy;
 pub mod incremental;
-pub mod overlap;
 pub mod shard;
 
 pub use greedy::GreedyFormer;
 pub use incremental::{FormerBucket, FormerState, IncrementalFormer, RatingDelta};
-pub use overlap::{OverlapConfig, OverlappingFormer, OverlappingGrouping};
 pub use shard::ShardedFormer;
 
 use crate::aggregate::Aggregation;

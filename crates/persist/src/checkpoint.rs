@@ -10,11 +10,11 @@
 //! ```
 //!
 //! Sections carry the snapshot meta/progress counters, the rating matrix
-//! CSR, the preference-index CSR and — since format v2 — the **named
-//! grouping registry**: one record per grouping holding its name,
-//! per-grouping version, formation configuration, emitted formation and
-//! (when that grouping's standing former was in lineage at checkpoint
-//! time) the exported [`FormerState`]. Every array is length-prefixed
+//! CSR, the preference-index CSR and the **named grouping registry**:
+//! one record per grouping holding its name, per-grouping version,
+//! formation configuration, emitted formation and (when that grouping's
+//! standing former was in lineage at checkpoint time) the exported
+//! [`FormerState`]. Every array is length-prefixed
 //! fixed-width little-endian and 8-byte aligned — the layout is
 //! mmap-ready, though this workspace reads it through the bounds-checked
 //! [`Reader`] (`forbid(unsafe_code)` rules out real `mmap`). **Unknown
@@ -24,12 +24,8 @@
 //!
 //! ## Compatibility
 //!
-//! The reader accepts format **v1** (single formation, `CONFIG` /
-//! `FORMATION` / `FORMER` sections) and **v2** (the `GROUPINGS`
-//! section). A v1 checkpoint decodes as a registry with exactly the
-//! `"default"` grouping at the checkpoint's snapshot version; the writer
-//! always emits v2. Versions above 2 are rejected with
-//! [`PersistError::UnsupportedVersion`].
+//! Format **v2** is the only format read or written; a header naming any
+//! other version is rejected with [`PersistError::UnsupportedVersion`].
 //!
 //! Writes are atomic: encode to `checkpoint.tmp`, `fsync`, rename into
 //! `checkpoint-<version>.ckpt`, `fsync` the directory. A reader therefore
@@ -48,12 +44,8 @@ use std::fs::{self, File, OpenOptions};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-/// Format version written into every checkpoint header.
+/// Format version written into, and required of, every checkpoint header.
 pub const CHECKPOINT_FORMAT_VERSION: u32 = 2;
-
-/// Oldest format version the reader still decodes (as a single
-/// `"default"` grouping).
-pub const CHECKPOINT_MIN_FORMAT_VERSION: u32 = 1;
 
 /// Checkpoint header magic.
 pub const CHECKPOINT_MAGIC: [u8; 4] = *b"GFCK";
@@ -61,20 +53,19 @@ pub const CHECKPOINT_MAGIC: [u8; 4] = *b"GFCK";
 /// Bytes of header before the payload.
 pub const CHECKPOINT_HEADER_BYTES: usize = 32;
 
+// Tags 2, 5 and 6 held format v1's flat config/formation/former
+// sections; they are retired, never to be reused.
 const TAG_META: u32 = 1;
-const TAG_CONFIG: u32 = 2;
 const TAG_MATRIX: u32 = 3;
 const TAG_PREFS: u32 = 4;
-const TAG_FORMATION: u32 = 5;
-const TAG_FORMER: u32 = 6;
 const TAG_GROUPINGS: u32 = 7;
-/// The online-feedback window (`/feedback` consumptions). Additive: the
+/// The online-feedback window (`/v1/feedback` consumptions). Additive: the
 /// section is only written when the window has ever observed an event,
 /// and readers that predate it skip it — no format bump needed.
 const TAG_FEEDBACK: u32 = 8;
 
-/// Name every pre-registry (format v1) checkpoint's formation restores
-/// under.
+/// Name of the grouping every registry holds (the serving layer's
+/// unnamed routes address it).
 pub const DEFAULT_GROUPING_NAME: &str = "default";
 
 /// One named grouping inside a checkpoint.
@@ -114,13 +105,11 @@ pub struct CheckpointState {
     pub matrix: RatingMatrix,
     /// The preference index matching `matrix`.
     pub prefs: PrefIndex,
-    /// The named grouping registry, in name order. A v1 checkpoint
-    /// decodes to exactly one entry named
-    /// [`DEFAULT_GROUPING_NAME`] at the snapshot version.
+    /// The named grouping registry, in name order.
     pub groupings: Vec<CheckpointGrouping>,
     /// The online-feedback window at export time (consumption events and
-    /// the cumulative observed counter). Empty when the checkpoint
-    /// predates the feedback section or never saw an event.
+    /// the cumulative observed counter). Empty when the state never saw
+    /// an event.
     pub feedback: OnlineEval,
 }
 
@@ -177,8 +166,8 @@ fn encode_config(cfg: &FormationConfig) -> Result<Vec<u8>> {
     w.u8(aggregation_code(cfg.aggregation)?);
     w.u8(policy_code(cfg.policy));
     w.u8(refresh_code(cfg.refresh));
-    // v2: the Consensus dispersion penalty rides along (0.0 for the
-    // other semantics).
+    // The Consensus dispersion penalty rides along (0.0 for the other
+    // semantics).
     w.f64(lambda);
     w.usize(cfg.k);
     w.usize(cfg.ell);
@@ -201,19 +190,18 @@ fn encode_config(cfg: &FormationConfig) -> Result<Vec<u8>> {
     Ok(w.into_bytes())
 }
 
-fn decode_config(body: &[u8], format: u32) -> Result<FormationConfig> {
+fn decode_config(body: &[u8]) -> Result<FormationConfig> {
     let bad = |what: &str, v: u8| PersistError::Corrupt(format!("unknown {what} code {v}"));
     let mut r = Reader::new(body);
     let sem_code = r.u8("semantics")?;
     let agg_code = r.u8("aggregation")?;
     let policy_code = r.u8("policy")?;
     let refresh_code = r.u8("refresh")?;
-    // The v1 layout has no lambda field (and no codes above 1 to need it).
-    let lambda = if format >= 2 { r.f64("lambda")? } else { 0.0 };
+    let lambda = r.f64("lambda")?;
     let semantics = match sem_code {
         0 => Semantics::LeastMisery,
         1 => Semantics::AggregateVoting,
-        2 if format >= 2 => {
+        2 => {
             if !lambda.is_finite() {
                 return Err(PersistError::Corrupt(format!(
                     "non-finite consensus lambda {lambda}"
@@ -221,7 +209,7 @@ fn decode_config(body: &[u8], format: u32) -> Result<FormationConfig> {
             }
             Semantics::Consensus { lambda }
         }
-        3 if format >= 2 => Semantics::LeaderWeighted,
+        3 => Semantics::LeaderWeighted,
         v => return Err(bad("semantics", v)),
     };
     let aggregation = match agg_code {
@@ -416,7 +404,7 @@ fn encode_groupings(groupings: &[CheckpointGrouping]) -> Result<Vec<u8>> {
     Ok(w.into_bytes())
 }
 
-fn decode_groupings(body: &[u8], format: u32) -> Result<Vec<CheckpointGrouping>> {
+fn decode_groupings(body: &[u8]) -> Result<Vec<CheckpointGrouping>> {
     let mut r = Reader::new(body);
     let n = r.usize("grouping count")?;
     let mut out = Vec::new();
@@ -427,7 +415,7 @@ fn decode_groupings(body: &[u8], format: u32) -> Result<Vec<CheckpointGrouping>>
             .to_string();
         let version = r.u64("grouping version")?;
         let cfg_len = r.usize("grouping config length")?;
-        let config = decode_config(r.take(cfg_len, "grouping config")?, format)?;
+        let config = decode_config(r.take(cfg_len, "grouping config")?)?;
         let form_len = r.usize("grouping formation length")?;
         let formation = decode_formation(r.take(form_len, "grouping formation")?)?;
         let former = match r.u8("grouping former flag")? {
@@ -515,8 +503,7 @@ fn section(w: &mut Writer, tag: u32, body: &[u8]) {
     w.pad_to(8);
 }
 
-/// Serializes a checkpoint to its on-disk bytes (always format v2: the
-/// named grouping registry).
+/// Serializes a checkpoint to its on-disk bytes.
 pub fn encode(state: &CheckpointState) -> Result<Vec<u8>> {
     if state.groupings.is_empty() {
         return Err(PersistError::Corrupt(
@@ -561,9 +548,8 @@ pub fn encode(state: &CheckpointState) -> Result<Vec<u8>> {
 
 /// Decodes checkpoint bytes, validating the header, the payload CRC and
 /// every restored structure. Unknown section tags are skipped (forward
-/// compatibility). Format v1 files (single formation) decode as a
-/// registry holding only the [`DEFAULT_GROUPING_NAME`] grouping; a
-/// format version above [`CHECKPOINT_FORMAT_VERSION`] is rejected with
+/// compatibility); a format version other than
+/// [`CHECKPOINT_FORMAT_VERSION`] is rejected with
 /// [`PersistError::UnsupportedVersion`].
 pub fn decode(bytes: &[u8]) -> Result<CheckpointState> {
     let mut r = Reader::new(bytes);
@@ -571,7 +557,7 @@ pub fn decode(bytes: &[u8]) -> Result<CheckpointState> {
         return Err(PersistError::Corrupt("bad checkpoint magic".into()));
     }
     let version = r.u32("format version")?;
-    if !(CHECKPOINT_MIN_FORMAT_VERSION..=CHECKPOINT_FORMAT_VERSION).contains(&version) {
+    if version != CHECKPOINT_FORMAT_VERSION {
         return Err(PersistError::UnsupportedVersion {
             found: version,
             supported: CHECKPOINT_FORMAT_VERSION,
@@ -587,12 +573,9 @@ pub fn decode(bytes: &[u8]) -> Result<CheckpointState> {
         ));
     }
     let mut meta = None;
-    let mut config = None;
     let mut matrix = None;
     let mut prefs = None;
-    let mut formation = None;
-    let mut former = None;
-    let mut groupings: Option<Vec<CheckpointGrouping>> = None;
+    let mut groupings = None;
     let mut feedback = OnlineEval::default();
     let mut s = Reader::new(payload);
     while !s.is_empty() {
@@ -614,12 +597,9 @@ pub fn decode(bytes: &[u8]) -> Result<CheckpointState> {
                     m.u64("items_admitted")?,
                 ));
             }
-            TAG_CONFIG => config = Some(decode_config(body, version)?),
             TAG_MATRIX => matrix = Some(decode_matrix(body)?),
             TAG_PREFS => prefs = Some(decode_prefs(body)?),
-            TAG_FORMATION => formation = Some(decode_formation(body)?),
-            TAG_FORMER => former = Some(decode_former(body)?),
-            TAG_GROUPINGS => groupings = Some(decode_groupings(body, version)?),
+            TAG_GROUPINGS => groupings = Some(decode_groupings(body)?),
             TAG_FEEDBACK => feedback = decode_feedback(body)?,
             _ => {} // future section: skip
         }
@@ -629,25 +609,10 @@ pub fn decode(bytes: &[u8]) -> Result<CheckpointState> {
         meta.ok_or_else(|| missing("meta"))?;
     let matrix = matrix.ok_or_else(|| missing("matrix"))?;
     let prefs = prefs.ok_or_else(|| missing("prefs"))?;
-    // v2 carries the registry section; a v1 file's flat CONFIG /
-    // FORMATION / FORMER triple restores as the lone "default" grouping
-    // at the snapshot version (the only version single-formation
-    // checkpoints knew).
-    let groupings = match groupings {
-        Some(gs) => {
-            if gs.is_empty() {
-                return Err(PersistError::Corrupt("empty groupings section".into()));
-            }
-            gs
-        }
-        None => vec![CheckpointGrouping {
-            name: DEFAULT_GROUPING_NAME.to_string(),
-            version: snapshot_version,
-            config: config.ok_or_else(|| missing("config"))?,
-            formation: formation.ok_or_else(|| missing("formation"))?,
-            former,
-        }],
-    };
+    let groupings = groupings.ok_or_else(|| missing("groupings"))?;
+    if groupings.is_empty() {
+        return Err(PersistError::Corrupt("empty groupings section".into()));
+    }
     // Cross-validate the independent sections against each other.
     if prefs.n_users() != matrix.n_users() {
         return Err(PersistError::Corrupt(format!(
@@ -769,8 +734,8 @@ pub struct LoadOutcome {
 }
 
 /// Loads the newest valid checkpoint in `dir`, falling back to older ones
-/// when the newest is corrupt (each skip is reported). A checkpoint with
-/// a *newer format version* is a hard error, not a skip — see
+/// when the newest is corrupt (each skip is reported). A checkpoint in
+/// any *other format version* is a hard error, not a skip — see
 /// [`PersistError::UnsupportedVersion`].
 pub fn load_latest(dir: &Path) -> Result<LoadOutcome> {
     let mut outcome = LoadOutcome {
@@ -1024,72 +989,6 @@ mod tests {
                 supported: 2
             })
         ));
-    }
-
-    /// Re-encodes `state` as a format-v1 file: flat CONFIG / FORMATION /
-    /// FORMER sections and the v1 config layout (no lambda field).
-    fn encode_v1(state: &CheckpointState) -> Vec<u8> {
-        let g = &state.groupings[0];
-        let mut payload = Writer::new();
-        let mut meta = Writer::new();
-        meta.u64(state.snapshot_version);
-        meta.u64(state.wal_seq);
-        meta.u64(state.applied);
-        meta.u64(state.users_admitted);
-        meta.u64(state.items_admitted);
-        section(&mut payload, TAG_META, &meta.into_bytes());
-        let mut cfg = Writer::new();
-        cfg.u8(semantics_code(g.config.semantics).0);
-        cfg.u8(aggregation_code(g.config.aggregation).unwrap());
-        cfg.u8(policy_code(g.config.policy));
-        cfg.u8(refresh_code(g.config.refresh));
-        cfg.usize(g.config.k);
-        cfg.usize(g.config.ell);
-        cfg.usize(g.config.n_threads);
-        match g.config.growth {
-            GrowthPolicy::Fixed => {
-                cfg.u8(0);
-                cfg.u32(0);
-                cfg.u32(0);
-            }
-            GrowthPolicy::Grow {
-                max_users,
-                max_items,
-            } => {
-                cfg.u8(1);
-                cfg.u32(max_users);
-                cfg.u32(max_items);
-            }
-        }
-        section(&mut payload, TAG_CONFIG, &cfg.into_bytes());
-        section(&mut payload, TAG_MATRIX, &encode_matrix(&state.matrix));
-        section(&mut payload, TAG_PREFS, &encode_prefs(&state.prefs));
-        section(&mut payload, TAG_FORMATION, &encode_formation(&g.formation));
-        if let Some(former) = &g.former {
-            section(&mut payload, TAG_FORMER, &encode_former(former));
-        }
-        let payload = payload.into_bytes();
-        let mut out = Writer::new();
-        out.bytes(&CHECKPOINT_MAGIC);
-        out.u32(1);
-        out.usize(payload.len());
-        out.u32(crc32(&payload));
-        out.bytes(&[0u8; 12]);
-        out.bytes(&payload);
-        out.into_bytes()
-    }
-
-    #[test]
-    fn v1_checkpoint_decodes_as_the_default_grouping() {
-        let state = sample_state(7);
-        let bytes = encode_v1(&state);
-        let back = decode(&bytes).unwrap();
-        // The v1 flat formation restores as the lone "default" grouping
-        // pinned at the snapshot version.
-        assert_eq!(back.groupings.len(), 1);
-        assert_eq!(back.groupings[0].name, DEFAULT_GROUPING_NAME);
-        assert_eq!(back.groupings[0].version, back.snapshot_version);
-        assert_states_equal(&state, &back);
     }
 
     #[test]

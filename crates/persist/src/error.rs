@@ -19,14 +19,15 @@ pub enum PersistError {
     /// The bytes on disk do not decode: bad magic, CRC mismatch, impossible
     /// lengths, or restored state that fails `gf-core`'s validation.
     Corrupt(String),
-    /// The file's format version is newer than this build understands.
-    /// Deliberately **not** skipped by recovery: an operator downgrading a
-    /// binary should see this, not a silent fall-back to an older
-    /// checkpoint (see `docs/OPERATIONS.md`).
+    /// The file's format version is not the one this build reads — older
+    /// or newer. Deliberately **not** skipped by recovery: an operator
+    /// downgrading a binary, or booting a data dir written in a retired
+    /// format, should see this, not a silent fall-back to an older
+    /// checkpoint or an emptied log (see `docs/OPERATIONS.md`).
     UnsupportedVersion {
         /// The version found in the file header.
         found: u32,
-        /// The highest version this build supports.
+        /// The one version this build reads.
         supported: u32,
     },
 }
@@ -45,7 +46,7 @@ impl fmt::Display for PersistError {
             PersistError::Corrupt(msg) => write!(f, "corrupt persistent state: {msg}"),
             PersistError::UnsupportedVersion { found, supported } => write!(
                 f,
-                "format version {found} is newer than the supported {supported}"
+                "format version {found} is unsupported (this build reads {supported})"
             ),
         }
     }

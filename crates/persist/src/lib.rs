@@ -1,7 +1,7 @@
 //! Durable state for `gf-serve`: an fsync'd write-ahead log, binary
 //! snapshot checkpoints, and state digests — on a zero-dependency codec.
 //!
-//! The serving layer journals every accepted rating batch (`POST /rate`)
+//! The serving layer journals every accepted rating batch (`POST /v1/rate`)
 //! into the [`wal`] *before* acknowledging it, and a background worker
 //! periodically freezes the immutable serving snapshot into a [`checkpoint`]
 //! file. A warm restart loads the newest valid checkpoint, replays the WAL
@@ -14,8 +14,8 @@
 //! * [`mod@crc32`] — IEEE CRC-32, guarding every record and payload.
 //! * [`codec`] — fixed-width little-endian primitives; the [`codec::Reader`]
 //!   never trusts an on-disk length.
-//! * [`wal`] — segmented, CRC-framed, fsync-controlled rating journal with
-//!   torn-tail recovery.
+//! * [`wal`] — segmented, CRC-framed, fsync-controlled rating and
+//!   feedback journal with torn-tail recovery.
 //! * [`checkpoint`] — atomic, versioned, section-tagged snapshot files.
 //! * [`digest`] — FNV-1a 64 fingerprints of restored state.
 //!
@@ -50,14 +50,8 @@ pub mod handbook {
     pub mod architecture {}
 }
 
-pub use checkpoint::{
-    CheckpointGrouping, CheckpointState, LoadOutcome, CHECKPOINT_FORMAT_VERSION,
-    CHECKPOINT_MIN_FORMAT_VERSION,
-};
+pub use checkpoint::{CheckpointGrouping, CheckpointState, LoadOutcome, CHECKPOINT_FORMAT_VERSION};
 pub use crc32::crc32;
 pub use digest::StateDigest;
 pub use error::{PersistError, Result};
-pub use wal::{
-    SyncMode, TornTail, Wal, WalPayload, WalRecord, WalScan, WAL_FORMAT_VERSION,
-    WAL_MIN_FORMAT_VERSION,
-};
+pub use wal::{SyncMode, TornTail, Wal, WalPayload, WalRecord, WalScan, WAL_FORMAT_VERSION};

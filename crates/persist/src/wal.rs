@@ -1,5 +1,5 @@
 //! The write-ahead log: an fsync'd, CRC-guarded journal of accepted
-//! `/rate` batches and `/feedback` events.
+//! `/v1/rate` batches and `/v1/feedback` events.
 //!
 //! A WAL is a directory of segment files named `wal-<first_seq>.log`.
 //! Each segment starts with a 16-byte header (`GFWL` magic, format
@@ -13,11 +13,9 @@
 //!   kind 1 (feedback) = [u32 user][u32 item][u8 has_scope]([u32 len][len bytes])?
 //! ```
 //!
-//! Format 1 segments (written before the feedback record kind existed)
-//! have no kind byte — their payload is `[u64 seq][u32 count] count x
-//! (...)`, always a ratings batch. The reader accepts both formats, so a
-//! warm boot replays a pre-upgrade log unchanged; the writer always
-//! emits format 2.
+//! Format 2 is the only format read or written. A segment whose header
+//! names any other version is refused with
+//! [`PersistError::UnsupportedVersion`] and left untouched on disk.
 //!
 //! Sequence numbers are contiguous across segments — record `seq` is the
 //! global append index, starting at 1 — which is what makes checkpoint
@@ -44,17 +42,13 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-/// Format version written into every segment header.
+/// Format version written into, and required of, every segment header.
 pub const WAL_FORMAT_VERSION: u32 = 2;
 
-/// Oldest segment format the reader still accepts (format 1: ratings
-/// only, no record-kind byte).
-pub const WAL_MIN_FORMAT_VERSION: u32 = 1;
-
-/// Record-kind byte of a ratings batch (format 2).
+/// Record-kind byte of a ratings batch.
 const KIND_RATINGS: u8 = 0;
 
-/// Record-kind byte of a feedback (consumption) event (format 2).
+/// Record-kind byte of a feedback (consumption) event.
 const KIND_FEEDBACK: u8 = 1;
 
 /// Segment header magic.
@@ -85,7 +79,7 @@ pub enum SyncMode {
 pub enum WalPayload {
     /// A batch of accepted `(user, item, score)` rating updates.
     Ratings(Vec<(u32, u32, f64)>),
-    /// One observed consumption (`/feedback`): `user` consumed `item`,
+    /// One observed consumption (`/v1/feedback`): `user` consumed `item`,
     /// optionally scoped to a named grouping.
     Feedback {
         /// The consuming user (dense index).
@@ -207,16 +201,10 @@ fn encode_feedback_record(seq: u64, user: u32, item: u32, scope: Option<&str>) -
     frame(payload.into_bytes())
 }
 
-/// Decodes one record payload (seq already read) under the segment's
-/// format version. Returns `None` on any malformation — the caller
-/// treats that exactly like a CRC failure.
-fn parse_payload(version: u32, p: &mut Reader<'_>) -> Option<WalPayload> {
-    let kind = if version == 1 {
-        KIND_RATINGS
-    } else {
-        p.u8("kind").ok()?
-    };
-    match kind {
+/// Decodes one record payload (seq already read). Returns `None` on any
+/// malformation — the caller treats that exactly like a CRC failure.
+fn parse_payload(p: &mut Reader<'_>) -> Option<WalPayload> {
+    match p.u8("kind").ok()? {
         KIND_RATINGS => {
             let count = p.u32("count").ok()?;
             if p.remaining() != count as usize * 16 {
@@ -252,9 +240,26 @@ fn parse_payload(version: u32, p: &mut Reader<'_>) -> Option<WalPayload> {
     }
 }
 
+/// Refuses a segment whose header names a format other than
+/// [`WAL_FORMAT_VERSION`]. A header too short to hold the version, or
+/// without the magic, is left to [`parse_segment`], which reports it torn.
+fn check_version(bytes: &[u8]) -> Result<()> {
+    let mut r = Reader::new(bytes);
+    match (r.take(4, "magic"), r.u32("version")) {
+        (Ok(magic), Ok(found)) if magic == WAL_MAGIC && found != WAL_FORMAT_VERSION => {
+            Err(PersistError::UnsupportedVersion {
+                found,
+                supported: WAL_FORMAT_VERSION,
+            })
+        }
+        _ => Ok(()),
+    }
+}
+
 /// Parses one segment's records starting at `expect_seq`, appending to
-/// `records`. Returns `Ok(bytes_consumed)` on a clean end, or
-/// `Err(offset)` of the first undecodable byte.
+/// `records`. Returns `Ok(())` on a clean end, or `Err(offset)` of the
+/// first undecodable byte. The header version was already vetted by
+/// [`check_version`].
 fn parse_segment(
     bytes: &[u8],
     expect_first: Option<u64>,
@@ -267,10 +272,7 @@ fn parse_segment(
     if magic != WAL_MAGIC {
         return Err(0);
     }
-    let Ok(version) = r.u32("version") else {
-        return Err(0);
-    };
-    if !(WAL_MIN_FORMAT_VERSION..=WAL_FORMAT_VERSION).contains(&version) {
+    if r.u32("version").is_err() {
         return Err(0);
     }
     let Ok(first_seq) = r.u64("first_seq") else {
@@ -291,10 +293,9 @@ fn parse_segment(
             return Err(at);
         };
         let len = len as usize;
-        // The smallest valid payload: format 1 = seq + count (12 bytes),
-        // format 2 = seq + kind (9 bytes, an unscoped feedback adds 9).
-        let min_len = if version == 1 { 12 } else { 9 };
-        if !(min_len..=MAX_RECORD_BYTES).contains(&len) {
+        // Every payload starts with seq + kind (9 bytes); `parse_payload`
+        // checks the kind-specific body.
+        if !(9..=MAX_RECORD_BYTES).contains(&len) {
             return Err(at);
         }
         let Ok(crc) = r.u32("record crc") else {
@@ -313,7 +314,7 @@ fn parse_segment(
         if seq != expect_seq {
             return Err(at);
         }
-        let Some(payload) = parse_payload(version, &mut p) else {
+        let Some(payload) = parse_payload(&mut p) else {
             return Err(at);
         };
         records.push(WalRecord { seq, payload });
@@ -325,11 +326,15 @@ fn parse_segment(
 /// first undecodable byte. Read-only: nothing on disk changes (the crash
 /// harness uses this to reconstruct a reference run; [`Wal::open`] uses it
 /// and then repairs the tail).
+///
+/// Fails with [`PersistError::UnsupportedVersion`] when any segment's
+/// header names a format other than [`WAL_FORMAT_VERSION`].
 pub fn scan(dir: &Path) -> Result<WalScan> {
     let segments = list_segments(dir)?;
     let mut out = WalScan::default();
     for (idx, (first_seq, path)) in segments.iter().enumerate() {
         let bytes = fs::read(path).map_err(PersistError::io(format!("read {}", path.display())))?;
+        check_version(&bytes)?;
         // The first segment anchors the sequence; later ones must continue
         // exactly where the previous left off.
         let expect = if out.records.is_empty() && idx == 0 {
@@ -389,7 +394,9 @@ impl Wal {
     ///
     /// Fails with [`PersistError::Corrupt`] if undecodable bytes sit
     /// *before* intact later segments (`mid_log` damage) — truncating
-    /// there would silently drop acknowledged records.
+    /// there would silently drop acknowledged records — and with
+    /// [`PersistError::UnsupportedVersion`] if any segment is in another
+    /// format; either way nothing on disk changes.
     pub fn open(dir: &Path, sync: SyncMode) -> Result<(Wal, WalScan)> {
         fs::create_dir_all(dir).map_err(PersistError::io(format!("mkdir {}", dir.display())))?;
         let scan_result = scan(dir)?;
@@ -428,32 +435,13 @@ impl Wal {
         }
         let next_seq = scan_result.last_seq + 1;
         let mut segments = list_segments(dir)?;
-        // Records are decoded under their segment header's format version,
-        // so the current-format writer must never append into a segment
-        // written under an older format: roll an upgraded log over to a
-        // fresh segment instead of appending in place.
-        let tail = match segments.last() {
-            Some((_, path)) if Self::segment_version(path)? == WAL_FORMAT_VERSION => {
-                Some(path.clone())
-            }
-            _ => None,
-        };
-        let file = match tail {
-            Some(path) => OpenOptions::new()
+        let file = match segments.last() {
+            Some((_, path)) => OpenOptions::new()
                 .append(true)
-                .open(&path)
+                .open(path)
                 .map_err(PersistError::io(format!("open {}", path.display())))?,
             None => {
                 let (first, path) = (next_seq, segment_path(dir, next_seq));
-                if segments.last().is_some_and(|(_, p)| *p == path) {
-                    // A header-only old-format tail occupies exactly the
-                    // name the fresh segment needs (it holds no records —
-                    // otherwise `next_seq` would be past its `first_seq`);
-                    // replace it.
-                    fs::remove_file(&path)
-                        .map_err(PersistError::io(format!("remove {}", path.display())))?;
-                    segments.pop();
-                }
                 let file = Self::create_segment(&path, first)?;
                 fsync_dir(dir)?;
                 segments.push((first, path));
@@ -498,19 +486,6 @@ impl Wal {
             last_sync: Instant::now(),
             unsynced: false,
         })
-    }
-
-    /// Reads a segment's header format version (the `u32` after the
-    /// magic). Callers only probe segments [`scan`] already decoded, so
-    /// the header is known-well-formed.
-    fn segment_version(path: &Path) -> Result<u32> {
-        let bytes = fs::read(path).map_err(PersistError::io(format!("read {}", path.display())))?;
-        let mut r = Reader::new(&bytes);
-        r.take(4, "magic")
-            .and_then(|_| r.u32("version"))
-            .map_err(|_| {
-                PersistError::Corrupt(format!("segment {} header unreadable", path.display()))
-            })
     }
 
     fn create_segment(path: &Path, first_seq: u64) -> Result<File> {
@@ -718,47 +693,29 @@ mod tests {
     }
 
     #[test]
-    fn format_v1_segments_still_parse() {
-        // A format-1 segment has no kind byte; hand-assemble one and make
-        // sure the reader treats it as ratings-only history.
-        let dir = tmpdir("v1");
-        let mut w = Writer::new();
-        w.bytes(&WAL_MAGIC);
-        w.u32(1); // format version 1
-        w.u64(1); // first_seq
-        let mut payload = Writer::new();
-        payload.u64(1);
-        payload.u32(1);
-        payload.u32(7);
-        payload.u32(3);
-        payload.f64(4.0);
-        let payload = payload.into_bytes();
-        w.u32(payload.len() as u32);
-        w.u32(crc32(&payload));
-        w.bytes(&payload);
-        fs::write(segment_path(&dir, 1), w.into_bytes()).unwrap();
-        let s = scan(&dir).unwrap();
-        assert!(s.torn.is_none());
-        assert_eq!(s.records.len(), 1);
-        assert_eq!(s.records[0].payload, WalPayload::Ratings(vec![(7, 3, 4.0)]));
-        // Records decode under their segment header's version, so `open`
-        // must not append current-format records into the v1 tail: it
-        // rolls over to a fresh format-2 segment automatically.
-        let (mut wal, s) = Wal::open(&dir, SyncMode::Always).unwrap();
-        assert_eq!(s.last_seq, 1);
-        assert_eq!(wal.segment_paths().len(), 2);
-        assert_eq!(wal.append_feedback(7, 3, None).unwrap(), 2);
+    fn unknown_format_segment_is_refused_and_left_untouched() {
+        let dir = tmpdir("v3");
+        let (mut wal, _) = Wal::open(&dir, SyncMode::Always).unwrap();
+        wal.append(&[(7, 3, 4.0)]).unwrap();
+        let path = wal.segment_paths().pop().unwrap();
         drop(wal);
-        let s = scan(&dir).unwrap();
-        assert_eq!(s.records.len(), 2);
-        assert!(matches!(
-            s.records[1].payload,
-            WalPayload::Feedback {
-                user: 7,
-                item: 3,
-                ..
-            }
-        ));
+        // Relabel the (otherwise intact) segment as format 3.
+        let mut bytes = fs::read(&path).unwrap();
+        bytes[4..8].copy_from_slice(&3u32.to_le_bytes());
+        fs::write(&path, &bytes).unwrap();
+        let unsupported = |r: Result<()>| {
+            matches!(
+                r,
+                Err(PersistError::UnsupportedVersion {
+                    found: 3,
+                    supported: WAL_FORMAT_VERSION
+                })
+            )
+        };
+        assert!(unsupported(scan(&dir).map(drop)));
+        assert!(unsupported(Wal::open(&dir, SyncMode::Always).map(drop)));
+        assert_eq!(fs::read(&path).unwrap(), bytes, "segment must be untouched");
+        assert_eq!(list_segments(&dir).unwrap().len(), 1);
         fs::remove_dir_all(&dir).unwrap();
     }
 

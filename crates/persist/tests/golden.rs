@@ -10,7 +10,9 @@
 //! ```
 //!
 //! and bump `CHECKPOINT_FORMAT_VERSION` / `WAL_FORMAT_VERSION` if an old
-//! reader could no longer parse the new bytes.
+//! reader could no longer parse the new bytes. The frozen format-1
+//! fixtures (`checkpoint-v1.bin`, `wal-segment-v1.bin`) are never
+//! regenerated: they prove older formats are refused, not dropped.
 
 use gf_core::{
     Aggregation, FormationConfig, GreedyFormer, GroupFormer, GrowthPolicy, IncrementalFormer,
@@ -18,6 +20,7 @@ use gf_core::{
 };
 use gf_persist::checkpoint::{self, CheckpointGrouping, CheckpointState};
 use gf_persist::wal::{SyncMode, Wal};
+use gf_persist::PersistError;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -135,23 +138,24 @@ fn checkpoint_encoding_matches_golden() {
 }
 
 #[test]
-fn legacy_v1_checkpoint_loads_as_the_default_grouping() {
+fn legacy_v1_checkpoint_is_refused_and_left_untouched() {
     // `checkpoint-v1.bin` is a real format-v1 file written before the
-    // named-grouping registry existed; it is never regenerated. The
-    // reader must keep restoring it as the lone "default" grouping.
-    let bytes = fs::read(golden_dir().join("checkpoint-v1.bin")).unwrap();
-    let state = checkpoint::decode(&bytes).unwrap();
-    assert_eq!(state.snapshot_version, 42);
-    assert_eq!(state.groupings.len(), 1);
-    let g = &state.groupings[0];
-    assert_eq!(g.name, checkpoint::DEFAULT_GROUPING_NAME);
-    assert_eq!(g.version, 42, "v1 groupings pin to the snapshot version");
-    // And it matches the live fixture's default grouping exactly.
-    let live = fixture_state();
-    let live_g = live.default_grouping().unwrap();
-    assert_eq!(g.config, live_g.config);
-    assert_eq!(state.matrix.csr_parts(), live.matrix.csr_parts());
-    assert_eq!(g.former, live_g.former);
+    // named-grouping registry existed; it is never regenerated. Recovery
+    // must refuse it loudly rather than skip it or fall back.
+    let fixture = fs::read(golden_dir().join("checkpoint-v1.bin")).unwrap();
+    let dir = tmpdir("ckpt-v1");
+    let path = dir.join(format!("checkpoint-{:020}.ckpt", 42));
+    fs::write(&path, &fixture).unwrap();
+    assert!(matches!(
+        checkpoint::load_latest(&dir),
+        Err(PersistError::UnsupportedVersion { found: 1, .. })
+    ));
+    assert_eq!(
+        fs::read(&path).unwrap(),
+        fixture,
+        "checkpoint must be untouched"
+    );
+    fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
@@ -172,34 +176,28 @@ fn wal_segment_encoding_matches_golden() {
 }
 
 #[test]
-fn legacy_v1_wal_segment_still_scans() {
+fn legacy_v1_wal_segment_is_refused_and_left_untouched() {
     // `wal-segment-v1.bin` is a real format-1 segment written before the
-    // feedback record kind existed; it is never regenerated. The reader
-    // must keep decoding it as ratings-only history.
-    if std::env::var_os("GF_UPDATE_GOLDEN").is_some() {
-        return; // v1 fixtures are frozen, nothing to regenerate
-    }
+    // feedback record kind existed; it is never regenerated. Opening the
+    // log must refuse it, not treat its header as torn and replace it.
+    let fixture = fs::read(golden_dir().join("wal-segment-v1.bin")).unwrap();
     let dir = tmpdir("wal-v1");
-    fs::copy(
-        golden_dir().join("wal-segment-v1.bin"),
-        dir.join(format!("wal-{:020}.log", 1)),
-    )
-    .unwrap();
-    let s = gf_persist::wal::scan(&dir).unwrap();
-    assert!(s.torn.is_none());
-    assert_eq!(s.last_seq, 3);
-    assert_eq!(s.records[0].ratings().unwrap(), &[(0, 1, 4.5), (2, 3, 1.0)]);
-    assert_eq!(s.records[1].ratings().unwrap(), &[]);
-    assert_eq!(s.records[2].ratings().unwrap(), &[(7, 0, 3.0)]);
-    // And the current-format writer resumes *past* it in a fresh segment
-    // rather than appending v2 records under the v1 header.
-    let (mut wal, scan) = Wal::open(&dir, SyncMode::Always).unwrap();
-    assert_eq!(scan.last_seq, 3);
-    assert_eq!(wal.segment_paths().len(), 2);
-    assert_eq!(wal.append_feedback(0, 1, None).unwrap(), 4);
-    drop(wal);
-    let s = gf_persist::wal::scan(&dir).unwrap();
-    assert_eq!(s.records.len(), 4);
+    let path = dir.join(format!("wal-{:020}.log", 1));
+    fs::write(&path, &fixture).unwrap();
+    assert!(matches!(
+        Wal::open(&dir, SyncMode::Always),
+        Err(PersistError::UnsupportedVersion { found: 1, .. })
+    ));
+    assert!(matches!(
+        gf_persist::wal::scan(&dir),
+        Err(PersistError::UnsupportedVersion { found: 1, .. })
+    ));
+    assert_eq!(
+        fs::read(&path).unwrap(),
+        fixture,
+        "segment must be untouched"
+    );
+    assert_eq!(fs::read_dir(&dir).unwrap().count(), 1, "no segment added");
     fs::remove_dir_all(&dir).unwrap();
 }
 

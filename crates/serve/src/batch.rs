@@ -1,4 +1,4 @@
-//! Request coalescing for `/form`.
+//! Request coalescing for `/v1/form`.
 //!
 //! Formation is the expensive operation the serving layer exists to
 //! amortize: when many clients ask for a (re-)formation at once, running
@@ -23,7 +23,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-/// What a batched `/form` call produced.
+/// What a batched `/v1/form` call produced.
 #[derive(Debug, Clone)]
 pub struct BatchOutcome {
     /// The snapshot installed by the batch's single formation run.

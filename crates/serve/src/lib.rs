@@ -8,17 +8,16 @@
 //!
 //! * **A versioned API surface** — every endpoint lives under `/v1/...`
 //!   with one shared error envelope (`{"error":{"code","message"}}`) and
-//!   uniform `top_k`/`limit`/`offset` parameters; the original
-//!   unversioned paths remain as thin aliases that answer identically
-//!   but carry a `Deprecation: true` header ([`http`] module docs hold
-//!   the route table, mirrored by [`http::ROUTE_TABLE`]).
+//!   uniform `top_k`/`limit`/`offset` parameters; any other path
+//!   answers 404 ([`http`] module docs hold the route table, mirrored by
+//!   [`http::ROUTE_TABLE`]).
 //! * **Snapshot serving** — queries (`GET /v1/group/{user}`,
 //!   `GET /v1/recommend/{group}`, `GET /v1/health`) read an immutable,
 //!   `Arc`-shared [`Snapshot`] and are lock-free after one brief
 //!   read-lock to clone the `Arc`.
 //! * **A closed quality loop** — `GET /v1/recommend/...` filters the
 //!   stored top-`k` list down to *candidate* items no group member has
-//!   rated (`exclude_rated=true` is the `/v1` default, computed by
+//!   rated (`exclude_rated=true` is the default, computed by
 //!   [`gf_core::CandidateEngine`] and cached per grouping version);
 //!   `POST /v1/feedback` journals which recommendations users accepted
 //!   — WAL-durable before the `202`, exactly like ratings — and folds
@@ -27,13 +26,13 @@
 //! * **A named-grouping registry** — one process serves many independent
 //!   formations (per-tenant `k`/`ℓ`/semantics) over **one** shared rating
 //!   matrix: the snapshot maps grouping names to [`state::GroupingState`]
-//!   entries that share the matrix/prefs `Arc`s, `POST /grouping`
-//!   registers new ones at runtime, and `GET /group/{name}/{user}`
+//!   entries that share the matrix/prefs `Arc`s, `POST /v1/grouping`
+//!   registers new ones at runtime, and `GET /v1/group/{name}/{user}`
 //!   queries each by name ([`state`] module docs).
-//! * **Request batching** — concurrent `POST /form` requests for the
+//! * **Request batching** — concurrent `POST /v1/form` requests for the
 //!   same grouping and configuration arriving within a small window
 //!   coalesce into a single formation run ([`batch`]).
-//! * **Incremental updates** — `POST /rate` enqueues a rating; a bounded
+//! * **Incremental updates** — `POST /v1/rate` enqueues a rating; a bounded
 //!   background pass patches the matrix ([`gf_core::RatingMatrix::upsert`])
 //!   and only the affected users' preference lists
 //!   ([`gf_core::PrefIndex::patch_user`]), re-forms, and atomically swaps
@@ -41,13 +40,13 @@
 //!   rebuild over the same ratings produces — property-tested in
 //!   `tests/serve_props.rs`.
 //! * **Population growth** — under
-//!   [`gf_core::GrowthPolicy::Grow`] a `POST /rate` naming a never-seen
+//!   [`gf_core::GrowthPolicy::Grow`] a `POST /v1/rate` naming a never-seen
 //!   user or item *admits* it (up to the caps): the journal entry carries
 //!   the grown id, the background pass extends matrix, preference index
-//!   and standing formation, and `GET /group/{new_user}` resolves after
-//!   the refresh — no restart. `/stats` reports
+//!   and standing formation, and `GET /v1/group/{new_user}` resolves after
+//!   the refresh — no restart. `/v1/stats` reports
 //!   `users_admitted`/`items_admitted`.
-//! * **Durability** — with `--data-dir`, every accepted `POST /rate` is
+//! * **Durability** — with `--data-dir`, every accepted `POST /v1/rate` is
 //!   journaled to an fsync'd write-ahead log *before* acknowledgment, a
 //!   background thread checkpoints the immutable snapshot without pausing
 //!   serving, and a restart warm-loads the newest checkpoint and replays

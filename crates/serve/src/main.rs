@@ -35,16 +35,16 @@
 //! formation flags for that grouping only (`agg`/`aggregation`,
 //! `semantics`/`sem`, `k`, `ell`, `lambda` for `cons`). All groupings
 //! share one rating matrix; more can be registered at runtime via
-//! `POST /grouping`.
+//! `POST /v1/grouping`.
 //!
-//! `--raw-ids` makes `/rate` accept the dataset's *original* ids: the
+//! `--raw-ids` makes `/v1/rate` accept the dataset's *original* ids: the
 //! loader's id tables seed a serve-time remapper, and never-seen raw ids
 //! intern under the growth caps. The table is in-memory: every boot
 //! re-seeds it from the `--data` file's first-appearance order (identity
 //! for synthetic corpora), so raw ids interned *at serve time* are
 //! forgotten by a restart — persisting the table is a ROADMAP follow-up.
 //!
-//! `--grow` lets `/rate` admit never-seen users and items without a
+//! `--grow` lets `/v1/rate` admit never-seen users and items without a
 //! restart ([`gf_core::GrowthPolicy::Grow`]); `--max-users`/`--max-items`
 //! cap the growth (and each implies `--grow`; default: unbounded).
 //! `--max-swaps` caps the incremental repair budget per refresh
@@ -57,12 +57,12 @@
 //! state: a restart re-fills whatever capacity the new process was
 //! given from the journaled event history.
 //!
-//! `--data-dir` makes the server **durable**: every accepted `/rate` is
+//! `--data-dir` makes the server **durable**: every accepted `/v1/rate` is
 //! journaled to an fsync'd WAL before acknowledgment, checkpoints are
 //! written in the background, and a restart warm-loads the newest
 //! checkpoint and replays the WAL tail (see `docs/OPERATIONS.md`). On a
 //! warm boot the checkpointed formation configuration wins over the
-//! `--semantics`/`--k`/… flags — it is durable state a `/form` may have
+//! `--semantics`/`--k`/… flags — it is durable state a `/v1/form` may have
 //! changed; non-formation knobs (threads are part of the config, but
 //! batch window, pass bounds and repair budget are not) still come from
 //! the command line.

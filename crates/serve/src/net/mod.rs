@@ -54,7 +54,7 @@ impl NetMode {
         }
     }
 
-    /// The flag spelling, for logs and `/stats`-adjacent output.
+    /// The flag spelling, for logs and `/v1/stats`-adjacent output.
     pub fn as_str(self) -> &'static str {
         match self {
             NetMode::Epoll => "epoll",

@@ -67,7 +67,7 @@ impl DurabilityOptions {
     }
 }
 
-/// What a [`boot`] recovered, for the startup report and `/stats`.
+/// What a [`boot`] recovered, for the startup report and `/v1/stats`.
 #[derive(Debug, Clone)]
 pub struct RecoveryReport {
     /// No usable checkpoint existed; the matrix closure ran.

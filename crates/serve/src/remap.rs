@@ -1,10 +1,10 @@
 //! Raw-id serving (`--raw-ids`): a growable raw → dense id layer in
-//! front of `/rate`.
+//! front of `/v1/rate`.
 //!
 //! Datasets arrive with arbitrary original ids (MovieLens user 71567,
 //! Netflix movie 2_000_000) that the loaders densify through
 //! [`gf_datasets::IdRemapper`]. Without this layer a serving client must
-//! know the loader's dense indices; with it, `POST /rate` accepts the
+//! know the loader's dense indices; with it, `POST /v1/rate` accepts the
 //! *original* ids: already-seen raw ids resolve to their dense row, and a
 //! never-seen raw id is interned at the next free dense index — exactly
 //! the index the admission pipeline will grow the matrix to — subject to
@@ -50,7 +50,7 @@ impl RawIdLayer {
         )
     }
 
-    /// `(raw users known, raw items known)` — for `/stats`.
+    /// `(raw users known, raw items known)` — for `/v1/stats`.
     pub fn len(&self) -> (usize, usize) {
         (
             self.users.lock().expect("raw user table poisoned").len(),

@@ -3,7 +3,7 @@
 //!
 //! ## Consistency model
 //!
-//! All queries (`/group`, `/recommend`, `/health`) read one [`Snapshot`] —
+//! All queries (`/v1/group`, `/v1/recommend`, `/v1/health`) read one [`Snapshot`] —
 //! an immutable, `Arc`-shared bundle of the rating matrix, the preference
 //! index and a **registry of named groupings** ([`GroupingState`]), each
 //! carrying its own [`FormationConfig`], [`FormationResult`] and
@@ -17,15 +17,15 @@
 //!
 //! Every server has at least the `"default"` grouping (built from
 //! [`ServeConfig::formation`]); additional groupings register at boot
-//! ([`ServeConfig::with_grouping`]) or at runtime (`POST /grouping`,
+//! ([`ServeConfig::with_grouping`]) or at runtime (`POST /v1/grouping`,
 //! [`ServeState::form_named`]). All groupings share **one** rating matrix
 //! and preference index by `Arc` — registering ten tenant groupings costs
 //! ten formations, not ten O(nnz) rating copies. Each grouping keeps a
 //! per-grouping `version`: the global snapshot version at which its
 //! formation last changed. A rating pass refreshes *every* grouping (so
-//! all land on the pass's version); a `/form` touches only the named one.
+//! all land on the pass's version); a `/v1/form` touches only the named one.
 //!
-//! Rating updates (`/rate`) are **eventually consistent**: they enqueue
+//! Rating updates (`/v1/rate`) are **eventually consistent**: they enqueue
 //! into a pending journal and return immediately; the background
 //! re-formation pass (one bounded batch of updates per pass, see
 //! [`ServeConfig::max_updates_per_pass`]) patches the matrix
@@ -41,12 +41,12 @@
 //!   refresh cost proportional to the update batch;
 //! * **cold** — a full re-formation over the whole population (also the
 //!   fallback whenever the standing former's lineage broke, e.g. after a
-//!   `/form` or a cold pass, and whenever an item admission moved the
+//!   `/v1/form` or a cold pass, and whenever an item admission moved the
 //!   grouping's effective top-`k` length — see below).
 //!
 //! Both paths are **test-enforced** to converge, per grouping, to exactly
 //! the snapshot a cold rebuild over the same ratings produces
-//! (`tests/serve_props.rs`); `/stats` reports which path each grouping
+//! (`tests/serve_props.rs`); `/v1/stats` reports which path each grouping
 //! refresh took. So that the two paths agree on grouping *shape* under
 //! any thread count, every snapshot an `Auto`/`Incremental` grouping
 //! installs comes from the plain greedy (Step-1 threaded); the
@@ -101,14 +101,14 @@ use std::time::Duration;
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Formation configuration of the `"default"` grouping — used for the
-    /// initial formation and for background re-formation (until a `/form`
+    /// initial formation and for background re-formation (until a `/v1/form`
     /// request overrides it).
     pub formation: FormationConfig,
     /// Additional named groupings registered at boot, in registration
     /// order. A later entry for the same name (including `"default"`)
     /// overrides the earlier one.
     pub groupings: Vec<(String, FormationConfig)>,
-    /// How long a `/form` leader waits for concurrent same-configuration
+    /// How long a `/v1/form` leader waits for concurrent same-configuration
     /// requests to join its batch before running.
     pub batch_window: Duration,
     /// Upper bound on how many rating updates one background re-formation
@@ -150,7 +150,7 @@ impl ServeConfig {
         self
     }
 
-    /// Overrides the `/form` batching window.
+    /// Overrides the `/v1/form` batching window.
     pub fn with_batch_window(mut self, window: Duration) -> Self {
         self.batch_window = window;
         self
@@ -204,7 +204,7 @@ pub struct Progress {
     /// (0 before any rating lands).
     pub wal_seq: u64,
     /// Total rating updates applied since the serving lineage began
-    /// (survives restarts, unlike the process-local `/stats` counters).
+    /// (survives restarts, unlike the process-local `/v1/stats` counters).
     pub applied: u64,
     /// Users admitted at serve time under [`gf_core::GrowthPolicy::Grow`],
     /// cumulative across restarts.
@@ -228,7 +228,7 @@ pub struct GroupingState {
     pub assignment: Vec<Option<usize>>,
     /// Global snapshot version at which this grouping's formation was
     /// last (re)computed. Rating passes refresh every grouping, so after
-    /// a pass all groupings carry the pass's version; a `/form` advances
+    /// a pass all groupings carry the pass's version; a `/v1/form` advances
     /// only the named grouping.
     pub version: u64,
 }
@@ -239,7 +239,7 @@ pub struct GroupingState {
 /// succession never mutates them: a background pass *builds* the patched
 /// successors ([`RatingMatrix::with_upserts`], [`PrefIndex::patched`])
 /// while the old structures stay live for concurrent readers, and a
-/// `/form` (which changes only one grouping) shares them wholesale. All
+/// `/v1/form` (which changes only one grouping) shares them wholesale. All
 /// registered groupings read the same two `Arc`s — one O(nnz) rating
 /// copy regardless of how many groupings are registered.
 #[derive(Debug)]
@@ -256,7 +256,7 @@ pub struct Snapshot {
     /// **per applied journal record**, so the version a given rating
     /// history produces is independent of how passes chunked the journal —
     /// a crash-replayed server lands on exactly the version the
-    /// uninterrupted run reached. `/form` and capped-repair catch-up
+    /// uninterrupted run reached. `/v1/form` and capped-repair catch-up
     /// passes advance it by one.
     pub version: u64,
     /// How much of the durable journal this snapshot bakes in.
@@ -285,7 +285,7 @@ impl Snapshot {
     }
 }
 
-/// Counters exposed by `/stats`; cheap relaxed atomics.
+/// Counters exposed by `/v1/stats`; cheap relaxed atomics.
 #[derive(Debug, Default)]
 pub struct Stats {
     /// Ratings accepted into the pending journal.
@@ -294,9 +294,9 @@ pub struct Stats {
     pub rates_applied: AtomicU64,
     /// Background re-formation passes run.
     pub refresh_passes: AtomicU64,
-    /// `/form` requests received.
+    /// `/v1/form` requests received.
     pub form_requests: AtomicU64,
-    /// Actual formation runs executed on behalf of `/form` (≤ requests;
+    /// Actual formation runs executed on behalf of `/v1/form` (≤ requests;
     /// the difference is requests answered from a coalesced batch).
     pub form_runs: AtomicU64,
     /// Grouping refreshes that patched a standing formation through its
@@ -434,7 +434,7 @@ pub(crate) struct ExportedState {
 /// The long-lived serving state shared by every connection handler.
 pub struct ServeState {
     snapshot: RwLock<Arc<Snapshot>>,
-    /// Serializes snapshot *builders* (background passes and `/form`
+    /// Serializes snapshot *builders* (background passes and `/v1/form`
     /// runs) so concurrent writers cannot interleave lost updates; held
     /// across compute + install, never by readers.
     writer: Mutex<()>,
@@ -448,13 +448,13 @@ pub struct ServeState {
     /// on a grouping's first incremental-eligible pass; only ever touched
     /// under `writer`).
     formers: Mutex<BTreeMap<String, FormerSlot>>,
-    /// Raw-id translation (`--raw-ids`); absent means `/rate` ids are
+    /// Raw-id translation (`--raw-ids`); absent means `/v1/rate` ids are
     /// dense indices, set once at boot via
     /// [`ServeState::attach_raw_ids`].
     raw_ids: OnceLock<RawIdLayer>,
     /// Candidate-item engine plus its per-group result cache.
     candidates: Mutex<CandidateCache>,
-    /// Counters for `/stats`.
+    /// Counters for `/v1/stats`.
     pub stats: Stats,
 }
 
@@ -527,7 +527,7 @@ impl ServeState {
     /// post-restart pass stays on the dirty-bucket path. Non-formation
     /// knobs (batch window, pass bounds, repair budget) come from `cfg`;
     /// the *formation* configurations are the checkpoint's — they are
-    /// part of the durable state a `/form` may have changed since boot
+    /// part of the durable state a `/v1/form` may have changed since boot
     /// flags were last read.
     pub fn restore_from(ck: CheckpointState, cfg: ServeConfig) -> Result<Arc<ServeState>> {
         let matrix = Arc::new(ck.matrix);
@@ -589,7 +589,7 @@ impl ServeState {
             feedback,
         };
         let stats = Stats::default();
-        // Seed the process-local counters so `/stats` stays meaningful
+        // Seed the process-local counters so `/v1/stats` stays meaningful
         // across restarts: everything the checkpoint baked in counts as
         // accepted and applied by this lineage.
         stats.rates_accepted.store(ck.applied, Ordering::Relaxed);
@@ -1132,7 +1132,7 @@ impl ServeState {
         });
         // Counter order matters for observers: `refresh_passes` last, so
         // `refresh_incremental + refresh_cold >= refresh_passes` holds in
-        // every interleaving a `/stats` read can see. Admission counters
+        // every interleaving a `/v1/stats` read can see. Admission counters
         // increment after the install for the same reason: once visible,
         // the snapshot's `n_users`/`n_items` already cover them.
         if admitted_users > 0 {
@@ -1291,7 +1291,7 @@ impl ServeState {
                 progress: current.progress,
                 feedback: Arc::clone(&current.feedback),
             });
-            // A same-configuration `/form` reproduces exactly the greedy
+            // A same-configuration `/v1/form` reproduces exactly the greedy
             // formation the grouping's standing former maintains, so its
             // lineage is still valid — re-sync it instead of letting the
             // next pass rebuild the former cold. (A capped former
@@ -1421,7 +1421,7 @@ impl ServeState {
 
     /// The fingerprint of one named grouping (name, version,
     /// configuration, formation) — the per-grouping entries of
-    /// `/digest`. Cheaper than [`ServeState::digest`] (no matrix walk);
+    /// `/v1/digest`. Cheaper than [`ServeState::digest`] (no matrix walk);
     /// two servers that agree on [`ServeState::digest`] agree on every
     /// per-grouping digest, and a disagreement localizes the divergent
     /// grouping.

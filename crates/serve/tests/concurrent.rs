@@ -1,5 +1,5 @@
-//! Concurrency tests: many reader threads querying `/group` and
-//! `/recommend` through the real routing layer while `/rate` updates
+//! Concurrency tests: many reader threads querying `/v1/group` and
+//! `/v1/recommend` through the real routing layer while `/v1/rate` updates
 //! stream in and the background worker swaps snapshots underneath them.
 
 use gf_core::{Aggregation, FormationConfig, RatingMatrix, RatingScale, Semantics};
@@ -65,7 +65,7 @@ fn readers_stay_consistent_under_rating_stream() {
                 let mut lookups = 0u64;
                 while !done.load(Ordering::Relaxed) {
                     let u = (lookups * 7 + r as u64) % N_USERS as u64;
-                    let (status, body) = get(&state, &format!("/group/{u}"));
+                    let (status, body) = get(&state, &format!("/v1/group/{u}"));
                     assert_eq!(status, 200, "reader {r} user {u}");
                     let members = body.get("members").and_then(Json::as_arr).unwrap();
                     assert!(
@@ -79,7 +79,7 @@ fn readers_stay_consistent_under_rating_stream() {
                     );
                     last_version = version;
                     let gi = body.get("group").and_then(Json::as_u64).unwrap();
-                    let (rs, rbody) = get(&state, &format!("/recommend/{gi}"));
+                    let (rs, rbody) = get(&state, &format!("/v1/recommend/{gi}"));
                     // The group may have been re-formed between the two
                     // reads; the id must either resolve or 404, never
                     // panic or return malformed data.
@@ -127,7 +127,7 @@ fn readers_stay_consistent_under_rating_stream() {
     );
 }
 
-/// Concurrent same-config `/form` requests coalesce: with a generous
+/// Concurrent same-config `/v1/form` requests coalesce: with a generous
 /// window, 8 threads submitting the identical configuration trigger far
 /// fewer actual formation runs than requests.
 #[test]

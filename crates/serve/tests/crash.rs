@@ -19,7 +19,7 @@
 //!
 //! Every server runs a three-entry grouping registry — `default`
 //! (least-misery), `av` (average) and `cons` (consensus) — over the one
-//! shared matrix, and recovery is asserted per grouping: the `/digest`
+//! shared matrix, and recovery is asserted per grouping: the `/v1/digest`
 //! grouping map of the restarted process must equal the uninterrupted
 //! reference name-for-name, bit-for-bit.
 //!
@@ -148,7 +148,7 @@ fn rate(addr: &str, user: u32, item: u32, score: u32) {
     let (status, body) = http(
         addr,
         "POST",
-        "/rate",
+        "/v1/rate",
         &format!(r#"{{"user":{user},"item":{item},"rating":{score}}}"#),
     );
     assert_eq!(status, 202, "rate ({user},{item},{score}) refused: {body}");
@@ -216,7 +216,7 @@ fn script(n: usize) -> Vec<(u32, u32, u32)> {
         .collect()
 }
 
-/// `/digest` fields of a live server, including the per-grouping map.
+/// `/v1/digest` fields of a live server, including the per-grouping map.
 struct Digest {
     digest: String,
     version: u64,
@@ -228,7 +228,7 @@ struct Digest {
 }
 
 fn digest_of(addr: &str) -> Digest {
-    let (status, body) = http(addr, "GET", "/digest", "");
+    let (status, body) = http(addr, "GET", "/v1/digest", "");
     assert_eq!(status, 200, "{body}");
     let json = Json::parse(&body).unwrap();
     let num = |k: &str| json.get(k).and_then(Json::as_u64).unwrap();
@@ -237,7 +237,7 @@ fn digest_of(addr: &str) -> Digest {
             .iter()
             .map(|(name, d)| (name.clone(), d.as_str().unwrap().to_string()))
             .collect(),
-        other => panic!("/digest groupings map missing or not an object: {other:?}"),
+        other => panic!("/v1/digest groupings map missing or not an object: {other:?}"),
     };
     groupings.sort();
     Digest {
@@ -357,13 +357,13 @@ fn assert_recovered_equals_reference(addr: &str, dir: &Path) {
 }
 
 fn stat(addr: &str, key: &str) -> u64 {
-    let (status, body) = http(addr, "GET", "/stats", "");
+    let (status, body) = http(addr, "GET", "/v1/stats", "");
     assert_eq!(status, 200);
     Json::parse(&body)
         .unwrap()
         .get(key)
         .and_then(Json::as_u64)
-        .unwrap_or_else(|| panic!("/stats missing {key}"))
+        .unwrap_or_else(|| panic!("/v1/stats missing {key}"))
 }
 
 /// Kill point 1: before any periodic checkpoint — recovery is the boot

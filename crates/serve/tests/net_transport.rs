@@ -1,14 +1,15 @@
 //! Transport-level regression tests, run against **both** transports
 //! (`epoll` where the platform has it, `blocking` everywhere): request
 //! segmentation across arbitrary TCP boundaries, pipelining, oversized
-//! bodies (413), stalled-client deadlines, the blocking thread cap, and
-//! byte-identical responses across transports.
+//! bodies (413), stalled-client deadlines, the blocking thread cap,
+//! byte-identical responses across transports, and the `/v1`-only
+//! surface (unversioned paths 404, no `deprecation` header).
 //!
 //! Everything here talks over real sockets; the routing layer is
 //! byte-for-byte shared, so any divergence is a transport bug.
 
 use gf_core::{Aggregation, FormationConfig, RatingMatrix, RatingScale, Semantics};
-use gf_serve::{NetMode, NetOptions, ServeConfig, ServeState, Server, ServerHandle};
+use gf_serve::{NetMode, NetOptions, ServeConfig, ServeState, Server, ServerHandle, ROUTE_TABLE};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -345,8 +346,43 @@ fn transports_answer_byte_identically() {
 }
 
 #[test]
+fn unversioned_routes_are_404_and_no_response_carries_deprecation() {
+    for mode in modes() {
+        let server = start(mode, |_| {});
+        for (method, pattern) in ROUTE_TABLE {
+            let v1 = pattern
+                .replace("{name}", "default")
+                .replace("{user}", "0")
+                .replace("{group}", "0");
+            for path in [v1.as_str(), &v1["/v1".len()..]] {
+                let mut stream = TcpStream::connect(server.addr()).unwrap();
+                let wire = format!(
+                    "{method} {path} HTTP/1.1\r\ncontent-length: 0\r\nconnection: close\r\n\r\n"
+                );
+                stream.write_all(wire.as_bytes()).unwrap();
+                let mut response = String::new();
+                stream.read_to_string(&mut response).unwrap();
+                let (head, body) = response.split_once("\r\n\r\n").expect("response head");
+                assert!(
+                    !head.to_ascii_lowercase().contains("deprecation"),
+                    "{mode:?} {method} {path}: {head}"
+                );
+                if !path.starts_with("/v1/") {
+                    assert!(head.starts_with("HTTP/1.1 404 "), "{mode:?} {path}: {head}");
+                    assert!(
+                        body.contains("\"code\":\"unknown_endpoint\""),
+                        "{mode:?} {path}: {body}"
+                    );
+                }
+            }
+        }
+        server.stop();
+    }
+}
+
+#[test]
 fn slow_route_pipelined_behind_fast_one_keeps_response_order() {
-    // `POST /form` is offloaded on the epoll path; a health check
+    // `POST /v1/form` is offloaded on the epoll path; a health check
     // pipelined *behind* it must still be answered second.
     for mode in modes() {
         let server = start(mode, |_| {});

@@ -215,17 +215,17 @@ fn same_config_form_keeps_the_former_lineage() {
     state.flush().unwrap(); // former initialized + synced
     let cfg = state.snapshot().default_grouping().config;
 
-    // A same-config /form used to break the lineage; now it re-syncs, so
+    // A same-config /v1/form used to break the lineage; now it re-syncs, so
     // the standing former still exports into the next checkpoint...
     state.form(cfg).unwrap();
     assert!(checkpoint_now(&state, &o).unwrap().is_some());
     let ck = checkpoint::load_latest(&dir).unwrap().loaded.unwrap().0;
     assert!(
         ck.default_grouping().unwrap().former.is_some(),
-        "same-config /form must keep the former warm"
+        "same-config /v1/form must keep the former warm"
     );
 
-    // ...and a *different*-config /form still (correctly) severs it.
+    // ...and a *different*-config /v1/form still (correctly) severs it.
     let other = FormationConfig::new(Semantics::AggregateVoting, Aggregation::Sum, 2, 4)
         .with_growth(cfg.growth);
     state.form(other).unwrap();

@@ -88,7 +88,7 @@ fn readme_endpoint_table_matches_the_live_route_table() {
 }
 
 #[test]
-fn every_documented_route_reaches_a_handler_on_both_surfaces() {
+fn every_documented_route_reaches_a_handler() {
     let matrix = RatingMatrix::from_dense(
         &[
             &[1.0, 4.0, 3.0][..],
@@ -107,34 +107,31 @@ fn every_documented_route_reaches_a_handler_on_both_surfaces() {
     ));
     let state = ServeState::new(matrix, cfg).unwrap();
     for (method, pattern) in ROUTE_TABLE {
-        let concrete = pattern
+        let path = pattern
             .replace("{name}", "default")
             .replace("{user}", "0")
             .replace("{group}", "0");
-        // Both the canonical path and its unversioned alias must resolve
-        // past routing: any status except 404 unknown_endpoint / 405
-        // proves a handler ran (POSTs answer 400 to the empty body).
-        for path in [concrete.clone(), concrete["/v1".len()..].to_string()] {
-            let (status, body) = route(
-                &state,
-                &HttpRequest {
-                    method: (*method).to_string(),
-                    path: path.clone(),
-                    query: String::new(),
-                    body: String::new(),
-                    keep_alive: false,
-                },
-            );
-            assert_ne!(status, 405, "{method} {path} hit the wrong-method arm");
-            let code = body
-                .get("error")
-                .and_then(|e| e.get("code"))
-                .and_then(gf_serve::Json::as_str)
-                .unwrap_or("");
-            assert_ne!(
-                code, "unknown_endpoint",
-                "{method} {path} fell through routing: {body}"
-            );
-        }
+        // Any status except 404 unknown_endpoint / 405 proves a handler
+        // ran (POSTs answer 400 to the empty body).
+        let (status, body) = route(
+            &state,
+            &HttpRequest {
+                method: (*method).to_string(),
+                path: path.clone(),
+                query: String::new(),
+                body: String::new(),
+                keep_alive: false,
+            },
+        );
+        assert_ne!(status, 405, "{method} {path} hit the wrong-method arm");
+        let code = body
+            .get("error")
+            .and_then(|e| e.get("code"))
+            .and_then(gf_serve::Json::as_str)
+            .unwrap_or("");
+        assert_ne!(
+            code, "unknown_endpoint",
+            "{method} {path} fell through routing: {body}"
+        );
     }
 }

@@ -1,5 +1,5 @@
 //! Property tests for the serving state — chiefly the acceptance-criteria
-//! invariant: the incremental `/rate` path (matrix upsert + per-user
+//! invariant: the incremental `/v1/rate` path (matrix upsert + per-user
 //! preference patch + background re-formation) converges to **exactly**
 //! the snapshot a cold rebuild over the same final ratings produces.
 
@@ -64,7 +64,7 @@ fn config(sem_lm: bool, agg_ix: usize, k: usize, ell: usize) -> FormationConfig 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Incremental `/rate` + background passes == cold rebuild: identical
+    /// Incremental `/v1/rate` + background passes == cold rebuild: identical
     /// matrix, preference lists, grouping, objective and assignment.
     #[test]
     fn incremental_matches_cold_rebuild(
@@ -111,7 +111,7 @@ proptest! {
         warm.default_grouping().formation.grouping.validate(inst.n, ell).unwrap();
     }
 
-    /// The registry-wide acceptance invariant: after ANY `/rate` batch
+    /// The registry-wide acceptance invariant: after ANY `/v1/rate` batch
     /// sequence fanned out by the background passes, EVERY named grouping
     /// — least-misery, average, consensus and leader-weighted, each with
     /// its own (k, ell) — equals its own cold build over the same final

@@ -22,7 +22,7 @@
 //! | [`baselines`] (`gf-baselines`) | Kendall-Tau distances, k-medoids, sparse k-means, the paper's `Baseline-LM` / `Baseline-AV` |
 //! | [`exact`] (`gf-exact`) | exact optima (partition DP, branch & bound), anytime local search, Appendix-A IP model + CPLEX LP export |
 //! | [`eval`] (`gf-eval`) | experiment harness, five-number summaries, tables, the simulated AMT user study |
-//! | [`serve`] (`gf-serve`) | the online component: batched HTTP serving with snapshot queries and incremental `/rate` updates |
+//! | [`serve`] (`gf-serve`) | the online component: batched HTTP serving with snapshot queries and incremental `/v1/rate` updates |
 //!
 //! ## Quickstart
 //!
