@@ -17,7 +17,7 @@
 //! * `former_init` — building the standing former from scratch (what the
 //!   first incremental pass after a cold one pays).
 //! * `former_refresh_64` — the core-level refresh alone: bucket moves +
-//!   capped reselection + tail maintenance, no serve-layer overhead.
+//!   full Step-2 reselection + tail maintenance, no serve-layer overhead.
 //!
 //! Sizes follow `serve_throughput`: 50k users x 5k items at
 //! `GF_BENCH_SCALE=paper`, 2k x 200 at `quick`.

@@ -6,11 +6,13 @@
 //! updates only perturbs the buckets of the touched users, so a standing
 //! formation can be *patched* instead of recomputed: [`IncrementalFormer`]
 //! keeps the exact Step-1 bucket state alive between refreshes, moves only
-//! the dirty users between buckets, re-runs the (cheap) Step-2 selection
+//! the dirty users between buckets, re-runs the exact Step-2 selection
 //! over cached bucket satisfactions, and maintains the tail group's
 //! per-item score aggregates under member churn. Refresh cost is
-//! proportional to the update batch (plus an `O(B + m)` selection/tail
-//! scan with tiny constants), not to a full `O(nnz log nnz)` rebuild.
+//! proportional to the update batch plus an `O(B + m)` selection/tail
+//! scan, not to a full `O(nnz log nnz)` rebuild. The selection scan is not
+//! free: it revisits every standing bucket on every refresh and measures
+//! 17–30% of a 64-update serve pass (EXPERIMENTS.md, "Step-2 share").
 //!
 //! ## Equivalence to a cold rebuild
 //!
@@ -18,9 +20,10 @@
 //! refreshes, the bucket multiset equals what [`bucket::build_buckets`]
 //! produces on the current matrix, bit for bit (touched buckets recompute
 //! their score vectors over members in ascending id order — the same
-//! accumulation order as a cold build). With the default unbounded repair
-//! pass, the emitted grouping is the cold [`GreedyFormer`](super::GreedyFormer) grouping,
-//! exactly, whenever ratings sit on a dyadic grid (whole or half stars —
+//! accumulation order as a cold build). Every refresh re-runs the full
+//! Step-2 selection, so the emitted grouping is the cold
+//! [`GreedyFormer`](super::GreedyFormer) grouping, exactly, whenever
+//! ratings sit on a dyadic grid (whole or half stars —
 //! every built-in [`crate::RatingScale`]) under [`MissingPolicy::Min`] or
 //! [`MissingPolicy::Skip`]/[`MissingPolicy::UserMean`] (the latter two
 //! rescore the tail with the full engine and are exact on any input; the
@@ -28,37 +31,16 @@
 //! drift by one ulp per update). `tests/prop_incremental.rs` enforces both
 //! properties across random rating streams and dirty-set partitions.
 //!
-//! ## Bounded repair pass and error bound
-//!
-//! [`IncrementalFormer::with_max_swaps`] caps how many buckets the repair
-//! pass may admit into the selected set per refresh; admissions beyond the
-//! cap are deferred — the incoming bucket stays spliced into the tail and
-//! the standing group keeps its slot — and picked up by later refreshes,
-//! so the grouping *converges* to the cold grouping once updates quiesce.
-//! While deferrals are outstanding, on a non-negative rating scale:
-//!
-//! ```text
-//! Obj(cold GRD) - Obj(incremental) <= selection_lag() + tail_bound
-//! ```
-//!
-//! where [`IncrementalFormer::selection_lag`] is the computable
-//! satisfaction gap between the ideal and the actual selected buckets, and
-//! `tail_bound` bounds any tail group's satisfaction: `r_max` (Min/Max
-//! aggregation) or `k * r_max` (Sum) under least misery, with an extra
-//! factor `n` under aggregate voting (sums over members). The bound is
-//! exposed as [`IncrementalFormer::quality_bound`]; the proof is two
-//! lines: ideal-vs-actual selection loses exactly `selection_lag`, and
-//! swapping tail memberships moves its satisfaction within
-//! `[0, tail_bound]`. Eviction and tail splicing reuse the
-//! [`ShardedFormer`](super::ShardedFormer) repair machinery's group
-//! rescoring ([`super::shard`]) on the non-`Min` policies.
+//! Tail splicing reuses the [`ShardedFormer`](super::ShardedFormer)
+//! repair machinery's group rescoring ([`super::shard`]) on the non-`Min`
+//! policies.
 //!
 //! ## Costs per refresh
 //!
 //! * bucket maintenance: `O(Σ |touched bucket| · k)` — proportional to the
 //!   dirty batch for typical (small) buckets;
 //! * selection: `O(B + ell log ell)` over `B` standing buckets (a flat
-//!   scan of cached satisfactions);
+//!   scan of cached satisfactions, paid in full on every refresh);
 //! * tail scoring: `O(m)` under `MissingPolicy::Min` (maintained per-item
 //!   aggregates), `O(nnz_tail)` otherwise (full rescore);
 //! * tail membership churn: `O(Σ d_u)` over users that enter/leave the
@@ -294,9 +276,8 @@ pub struct FormerState {
 }
 
 /// A standing greedy formation that absorbs rating updates by patching
-/// only the dirty users' buckets and splicing the result back into the
-/// grouping with a bounded repair pass. See the [module docs](self) for
-/// the equivalence guarantee and the error bound.
+/// only the dirty users' buckets and re-running the exact Step-2
+/// selection. See the [module docs](self) for the equivalence guarantee.
 #[derive(Debug, Clone)]
 pub struct IncrementalFormer {
     cfg: FormationConfig,
@@ -315,8 +296,6 @@ pub struct IncrementalFormer {
     /// machinery.
     agg_tail: Option<TailAgg>,
     result: FormationResult,
-    max_swaps: usize,
-    selection_lag: f64,
 }
 
 impl IncrementalFormer {
@@ -361,10 +340,8 @@ impl IncrementalFormer {
                 objective: 0.0,
                 n_buckets: 0,
             },
-            max_swaps: usize::MAX,
-            selection_lag: 0.0,
         };
-        let (ideal, _) = former.ideal_selection();
+        let ideal = former.ideal_selection();
         let chosen: FxHashSet<BucketKey> = ideal.iter().cloned().collect();
         for u in 0..n {
             if !chosen.contains(&former.user_keys[u]) {
@@ -382,16 +359,6 @@ impl IncrementalFormer {
         Ok(former)
     }
 
-    /// Caps how many buckets one refresh may admit into the selected set
-    /// (the repair-pass budget). Default: unbounded, which keeps the
-    /// grouping exactly equal to a cold rebuild. With a finite cap the
-    /// grouping lags by at most [`IncrementalFormer::quality_bound`] and
-    /// converges once updates quiesce.
-    pub fn with_max_swaps(mut self, max_swaps: usize) -> Self {
-        self.max_swaps = max_swaps;
-        self
-    }
-
     /// The configuration this former was built under.
     pub fn config(&self) -> &FormationConfig {
         &self.cfg
@@ -400,31 +367,6 @@ impl IncrementalFormer {
     /// The standing formation.
     pub fn result(&self) -> &FormationResult {
         &self.result
-    }
-
-    /// Satisfaction gap between the ideal Step-2 selection and the one
-    /// currently emitted (0 whenever the repair pass is not lagging —
-    /// always, with unbounded swaps).
-    pub fn selection_lag(&self) -> f64 {
-        self.selection_lag
-    }
-
-    /// The documented bound on `Obj(cold GRD) - Obj(self)` for the current
-    /// state on a non-negative rating scale: [`selection_lag`] plus the
-    /// worst-case tail-group satisfaction (see the [module docs](self)).
-    ///
-    /// [`selection_lag`]: IncrementalFormer::selection_lag
-    pub fn quality_bound(&self, matrix: &RatingMatrix) -> f64 {
-        let r_max = matrix.scale().max();
-        let k_eff = self.cfg.k.min(matrix.n_items() as usize).max(1);
-        let per_item = match self.cfg.semantics {
-            Semantics::LeastMisery => r_max,
-            Semantics::AggregateVoting => matrix.n_users() as f64 * r_max,
-            // Both are (weighted) means bounded above by r_max; Consensus
-            // only subtracts from the mean (λ ≥ 0). See `semantics` docs.
-            Semantics::Consensus { .. } | Semantics::LeaderWeighted => r_max,
-        };
-        self.selection_lag + self.cfg.aggregation.apply(&vec![per_item; k_eff])
     }
 
     /// Test support: a canonical view of the maintained Step-1 state, for
@@ -473,14 +415,17 @@ impl IncrementalFormer {
     /// against the matrix/prefs pair it was exported under.
     ///
     /// Derived state (per-user bucket keys, tail membership, tail
-    /// aggregates, the emitted grouping, the selection lag) is rebuilt
-    /// from the matrix rather than trusted — the tail aggregates
-    /// re-accumulate in ascending user order, the exact order
-    /// [`IncrementalFormer::new`] uses, so on a dyadic rating grid the
-    /// restored former continues bit-for-bit from where the exported one
-    /// stopped. Structural invariants (sorted unique membership, full
-    /// user coverage, well-formed selection) are validated; a state that
-    /// fails them yields [`GfError::Persist`].
+    /// aggregates, the emitted grouping) is rebuilt from the matrix rather
+    /// than trusted — the tail aggregates re-accumulate in ascending user
+    /// order, the exact order [`IncrementalFormer::new`] uses, so on a
+    /// dyadic rating grid the restored former continues bit-for-bit from
+    /// where the exported one stopped. The Step-2 selection is taken as
+    /// stored even when it is valid but not the ideal one (checkpoints of
+    /// older builds may hold such a selection): the emitted grouping is
+    /// the stored one until the next [`IncrementalFormer::refresh`], which
+    /// re-selects in full. Structural invariants (sorted unique
+    /// membership, full user coverage, well-formed selection) are
+    /// validated; a state that fails them yields [`GfError::Persist`].
     pub fn import_state(
         matrix: &RatingMatrix,
         cfg: FormationConfig,
@@ -558,8 +503,6 @@ impl IncrementalFormer {
                 objective: 0.0,
                 n_buckets: 0,
             },
-            max_swaps: usize::MAX,
-            selection_lag: 0.0,
         };
         for u in 0..n {
             if !selected_set.contains(&former.user_keys[u]) {
@@ -574,15 +517,6 @@ impl IncrementalFormer {
         }
         drop(selected_set);
         former.selected = selected;
-        let (_, ideal_sum) = former.ideal_selection();
-        let actual_sum: f64 = former
-            .selected
-            .iter()
-            .map(|key| {
-                former.buckets[key].satisfaction(former.cfg.semantics, former.cfg.aggregation)
-            })
-            .sum();
-        former.selection_lag = (ideal_sum - actual_sum).max(0.0);
         former.emit(matrix);
         Ok(former)
     }
@@ -593,8 +527,8 @@ impl IncrementalFormer {
     /// with [`RatingMatrix::upsert_batch`] and [`PrefIndex::patch_users`]),
     /// and `updates` must cover **every** rating that changed since the
     /// last refresh — a user mutated behind the former's back corrupts the
-    /// bucket state. An empty batch is valid and lets a capped repair pass
-    /// catch up on deferred swaps.
+    /// bucket state. An empty batch is valid: it re-runs the Step-2
+    /// selection only.
     ///
     /// The matrix may have **grown** since the last refresh (see
     /// [`crate::GrowthPolicy`]): every never-seen user is admitted as a
@@ -645,8 +579,7 @@ impl IncrementalFormer {
         let old_n = self.user_keys.len() as u32;
         if matrix.n_items() != self.n_items {
             if self.cfg.k.min(self.n_items as usize) != self.cfg.k.min(matrix.n_items() as usize) {
-                let max_swaps = self.max_swaps;
-                *self = IncrementalFormer::new(matrix, prefs, self.cfg)?.with_max_swaps(max_swaps);
+                *self = IncrementalFormer::new(matrix, prefs, self.cfg)?;
                 return Ok(&self.result);
             }
             if let Some(agg) = &mut self.agg_tail {
@@ -768,19 +701,12 @@ impl IncrementalFormer {
             }
         }
 
-        // 4. Repair pass: re-run Step-2 selection, capped at max_swaps
-        //    admissions.
-        let (ideal, ideal_sum) = self.ideal_selection();
-        let actual = self.cap_selection(ideal);
-        let actual_sum: f64 = actual
-            .iter()
-            .map(|key| self.buckets[key].satisfaction(self.cfg.semantics, self.cfg.aggregation))
-            .sum();
-        self.selection_lag = (ideal_sum - actual_sum).max(0.0);
+        // 4. Re-run the Step-2 selection in full.
+        let selected = self.ideal_selection();
 
         // 5. Splice users whose tail membership changed (bucket admissions,
         //    evictions, and dirty users that hopped across the boundary).
-        self.apply_selection(matrix, actual, &dirty);
+        self.apply_selection(matrix, selected, &dirty);
 
         // 6. Emit the patched grouping.
         self.emit(matrix);
@@ -788,11 +714,11 @@ impl IncrementalFormer {
     }
 
     /// The ideal Step-2 selection over the current buckets — the exact pop
-    /// sequence of a cold [`GreedyFormer`](super::GreedyFormer) — plus its satisfaction sum.
-    fn ideal_selection(&self) -> (Vec<BucketKey>, f64) {
+    /// sequence of a cold [`GreedyFormer`](super::GreedyFormer).
+    fn ideal_selection(&self) -> Vec<BucketKey> {
         let slots = self.cfg.ell.saturating_sub(1).min(self.buckets.len());
         if slots == 0 {
-            return (Vec::new(), 0.0);
+            return Vec::new();
         }
         let (sem, agg) = (self.cfg.semantics, self.cfg.aggregation);
         let mut entries: Vec<(f64, &BucketKey, &Bucket)> = self
@@ -809,52 +735,7 @@ impl IncrementalFormer {
             entries.truncate(slots);
         }
         entries.sort_unstable_by(cmp);
-        let sum = entries.iter().map(|e| e.0).sum();
-        (entries.iter().map(|e| e.1.clone()).collect(), sum)
-    }
-
-    /// Limits the selection churn to `max_swaps` admissions: deferred
-    /// incoming buckets stay in the tail and the best standing groups keep
-    /// their slots. Returns the final selection in emission order.
-    fn cap_selection(&self, ideal: Vec<BucketKey>) -> Vec<BucketKey> {
-        if self.max_swaps == usize::MAX {
-            return ideal;
-        }
-        let slots = ideal.len();
-        let old_set: FxHashSet<&BucketKey> = self.selected.iter().collect();
-        let mut admitted = 0usize;
-        let mut chosen: Vec<BucketKey> = Vec::with_capacity(slots);
-        let mut chosen_set: FxHashSet<BucketKey> = FxHashSet::default();
-        for key in ideal {
-            if old_set.contains(&key) {
-                chosen_set.insert(key.clone());
-                chosen.push(key);
-            } else if admitted < self.max_swaps {
-                admitted += 1;
-                chosen_set.insert(key.clone());
-                chosen.push(key);
-            }
-        }
-        // Freed slots (deferred admissions) fall back to the best standing
-        // groups that were about to be evicted.
-        if chosen.len() < slots {
-            let (sem, agg) = (self.cfg.semantics, self.cfg.aggregation);
-            let mut survivors: Vec<&BucketKey> = self
-                .selected
-                .iter()
-                .filter(|key| self.buckets.contains_key(*key) && !chosen_set.contains(*key))
-                .collect();
-            survivors.sort_unstable_by(|a, b| {
-                bucket::bucket_order(&self.buckets[*a], &self.buckets[*b], sem, agg)
-            });
-            for key in survivors.into_iter().take(slots - chosen.len()) {
-                chosen.push(key.clone());
-            }
-            chosen.sort_unstable_by(|a, b| {
-                bucket::bucket_order(&self.buckets[a], &self.buckets[b], sem, agg)
-            });
-        }
-        chosen
+        entries.iter().map(|e| e.1.clone()).collect()
     }
 
     /// Installs `new_selected` and splices every user whose tail
@@ -1075,7 +956,6 @@ mod tests {
             let deltas = apply(&mut m, &mut p, &batch);
             former.refresh(&m, &p, &deltas).unwrap();
             assert_matches_cold(&former, &m, &p, &cfg);
-            assert_eq!(former.selection_lag(), 0.0);
         }
     }
 
@@ -1105,7 +985,6 @@ mod tests {
                     let deltas = apply(&mut m, &mut p, &batch);
                     former.refresh(&m, &p, &deltas).unwrap();
                     assert_matches_cold(&former, &m, &p, &cfg);
-                    assert_eq!(former.selection_lag(), 0.0, "{sem} {policy:?}");
                 }
             }
         }
@@ -1157,39 +1036,6 @@ mod tests {
             former.refresh(&m, &p, &deltas).unwrap();
             assert_matches_cold(&former, &m, &p, &cfg);
         }
-    }
-
-    #[test]
-    fn capped_swaps_defer_but_stay_within_bound_and_converge() {
-        let (mut m, mut p) = example1();
-        let cfg = FormationConfig::new(Semantics::LeastMisery, Aggregation::Min, 1, 4);
-        let mut former = IncrementalFormer::new(&m, &p, cfg)
-            .unwrap()
-            .with_max_swaps(0);
-        // Pull u5 onto a brand-new best bucket; with zero admissions the
-        // repair pass must defer it to the tail.
-        let deltas = apply(&mut m, &mut p, &[(4, 0, 5.0), (4, 1, 5.0), (4, 2, 5.0)]);
-        former.refresh(&m, &p, &deltas).unwrap();
-        let cold = GreedyFormer::new().form(&m, &p, &cfg).unwrap();
-        let loss = cold.objective - former.result().objective;
-        assert!(loss <= former.quality_bound(&m) + 1e-9, "loss {loss}");
-        // Buckets are exact even while the grouping lags.
-        let cold_buckets = bucket::canonical_buckets(bucket::build_buckets(
-            &m,
-            &p,
-            cfg.semantics,
-            cfg.aggregation,
-            cfg.policy,
-            cfg.k,
-        ));
-        assert_eq!(former.canonical_buckets(), cold_buckets);
-        // Raise the budget: an empty refresh catches up and converges.
-        let mut former = former.with_max_swaps(1);
-        for _ in 0..former.result().grouping.len() + 2 {
-            former.refresh(&m, &p, &[]).unwrap();
-        }
-        assert_eq!(former.selection_lag(), 0.0);
-        assert_eq!(former.result(), &cold);
     }
 
     fn apply_grown(
@@ -1300,13 +1146,36 @@ mod tests {
             let mut restored = IncrementalFormer::import_state(&m, cfg, &state).unwrap();
             assert_eq!(restored.canonical_buckets(), former.canonical_buckets());
             assert_eq!(restored.result(), former.result());
-            assert_eq!(restored.selection_lag(), former.selection_lag());
             // The restored former keeps tracking cold exactly.
             let deltas = apply(&mut m, &mut p, &[(2, 2, 4.0), (5, 0, 1.0)]);
             restored.refresh(&m, &p, &deltas).unwrap();
             former.refresh(&m, &p, &deltas).unwrap();
             assert_matches_cold(&restored, &m, &p, &cfg);
             assert_eq!(restored.result(), former.result());
+        }
+    }
+
+    #[test]
+    fn import_accepts_a_non_ideal_selection_and_the_next_refresh_is_exact() {
+        // Checkpoints written by older builds may carry a Step-2 selection
+        // that is valid but not the ideal one. Import must keep it as
+        // stored; the next refresh re-selects from scratch and lands on
+        // the cold grouping.
+        for sem in Semantics::all() {
+            let (mut m, mut p) = example1();
+            let cfg = FormationConfig::new(sem, Aggregation::Min, 1, 3);
+            let former = IncrementalFormer::new(&m, &p, cfg).unwrap();
+            let mut state = former.export_state();
+            let unselected = (0..state.buckets.len() as u32)
+                .find(|idx| !state.selected.contains(idx))
+                .expect("example has more buckets than slots");
+            state.selected[0] = unselected;
+            let mut restored = IncrementalFormer::import_state(&m, cfg, &state).unwrap();
+            assert_ne!(restored.result(), former.result(), "{sem}");
+            assert_eq!(restored.export_state(), state, "{sem}");
+            let deltas = apply(&mut m, &mut p, &[(0, 0, 5.0), (4, 1, 4.0)]);
+            restored.refresh(&m, &p, &deltas).unwrap();
+            assert_matches_cold(&restored, &m, &p, &cfg);
         }
     }
 

@@ -240,12 +240,22 @@ fn parse_payload(p: &mut Reader<'_>) -> Option<WalPayload> {
     }
 }
 
-/// Refuses a segment whose header names a format other than
-/// [`WAL_FORMAT_VERSION`]. A header too short to hold the version, or
-/// without the magic, is left to [`parse_segment`], which reports it torn.
-fn check_version(bytes: &[u8]) -> Result<()> {
+/// Refuses a segment whose header is not a [`WAL_FORMAT_VERSION`] header:
+/// a full-length header without the magic is [`PersistError::Corrupt`], a
+/// magic followed by another version is
+/// [`PersistError::UnsupportedVersion`]. Only a file too short to hold the
+/// header can be a crash artifact (the process died while creating the
+/// segment); it is left to [`parse_segment`], which reports it torn.
+fn check_header(path: &Path, bytes: &[u8]) -> Result<()> {
     let mut r = Reader::new(bytes);
     match (r.take(4, "magic"), r.u32("version")) {
+        (Ok(magic), _) if magic != WAL_MAGIC && bytes.len() >= WAL_HEADER_BYTES => {
+            Err(PersistError::Corrupt(format!(
+                "segment {} has a full-length header without the WAL magic; \
+                 refusing to treat it as torn",
+                path.display()
+            )))
+        }
         (Ok(magic), Ok(found)) if magic == WAL_MAGIC && found != WAL_FORMAT_VERSION => {
             Err(PersistError::UnsupportedVersion {
                 found,
@@ -258,8 +268,9 @@ fn check_version(bytes: &[u8]) -> Result<()> {
 
 /// Parses one segment's records starting at `expect_seq`, appending to
 /// `records`. Returns `Ok(())` on a clean end, or `Err(offset)` of the
-/// first undecodable byte. The header version was already vetted by
-/// [`check_version`].
+/// first undecodable byte. The header was already vetted by
+/// [`check_header`], so an offset below [`WAL_HEADER_BYTES`] means the
+/// file is shorter than a header.
 fn parse_segment(
     bytes: &[u8],
     expect_first: Option<u64>,
@@ -328,13 +339,15 @@ fn parse_segment(
 /// and then repairs the tail).
 ///
 /// Fails with [`PersistError::UnsupportedVersion`] when any segment's
-/// header names a format other than [`WAL_FORMAT_VERSION`].
+/// header names a format other than [`WAL_FORMAT_VERSION`], and with
+/// [`PersistError::Corrupt`] when a segment at least a header long lacks
+/// the magic.
 pub fn scan(dir: &Path) -> Result<WalScan> {
     let segments = list_segments(dir)?;
     let mut out = WalScan::default();
     for (idx, (first_seq, path)) in segments.iter().enumerate() {
         let bytes = fs::read(path).map_err(PersistError::io(format!("read {}", path.display())))?;
-        check_version(&bytes)?;
+        check_header(path, &bytes)?;
         // The first segment anchors the sequence; later ones must continue
         // exactly where the previous left off.
         let expect = if out.records.is_empty() && idx == 0 {
@@ -394,7 +407,8 @@ impl Wal {
     ///
     /// Fails with [`PersistError::Corrupt`] if undecodable bytes sit
     /// *before* intact later segments (`mid_log` damage) — truncating
-    /// there would silently drop acknowledged records — and with
+    /// there would silently drop acknowledged records — or if a segment
+    /// at least a header long lacks the magic, and with
     /// [`PersistError::UnsupportedVersion`] if any segment is in another
     /// format; either way nothing on disk changes.
     pub fn open(dir: &Path, sync: SyncMode) -> Result<(Wal, WalScan)> {
@@ -410,8 +424,10 @@ impl Wal {
                 )));
             }
             // Crash artifact at the log's end: drop the torn bytes. A tail
-            // torn inside the header leaves nothing worth keeping — remove
-            // the file and let the append path start a fresh segment.
+            // torn inside the header (a file shorter than the header; a
+            // full-length one was vetted by `check_header`) leaves nothing
+            // worth keeping — remove the file and let the append path
+            // start a fresh segment.
             if torn.offset < WAL_HEADER_BYTES as u64 {
                 fs::remove_file(&torn.segment).map_err(PersistError::io(format!(
                     "remove {}",
@@ -742,6 +758,37 @@ mod tests {
         let dir = tmpdir("empty");
         fs::write(segment_path(&dir, 1), b"GF").unwrap(); // torn header
         let (mut wal, s) = Wal::open(&dir, SyncMode::Always).unwrap();
+        assert_eq!(s.records.len(), 0);
+        assert_eq!(wal.append(&[(0, 0, 1.0)]).unwrap(), 1);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn only_a_file_shorter_than_the_header_counts_as_torn() {
+        let dir = tmpdir("badmagic");
+        let (wal, _) = Wal::open(&dir, SyncMode::Always).unwrap();
+        let path = wal.segment_paths().pop().unwrap();
+        drop(wal);
+        let mut header = fs::read(&path).unwrap();
+        assert_eq!(header.len(), WAL_HEADER_BYTES);
+        header[0] ^= 0xFF;
+        // A full-length header with a damaged magic is refused in place.
+        fs::write(&path, &header).unwrap();
+        assert!(matches!(scan(&dir), Err(PersistError::Corrupt(_))));
+        assert!(matches!(
+            Wal::open(&dir, SyncMode::Always),
+            Err(PersistError::Corrupt(_))
+        ));
+        assert_eq!(
+            fs::read(&path).unwrap(),
+            header,
+            "segment must be untouched"
+        );
+        // One byte shorter, the same bytes are a header torn mid-write:
+        // dropped, and the log starts afresh.
+        fs::write(&path, &header[..WAL_HEADER_BYTES - 1]).unwrap();
+        let (mut wal, s) = Wal::open(&dir, SyncMode::Always).unwrap();
+        assert!(s.torn.is_some());
         assert_eq!(s.records.len(), 0);
         assert_eq!(wal.append(&[(0, 0, 1.0)]).unwrap(), 1);
         fs::remove_dir_all(&dir).unwrap();

@@ -237,6 +237,36 @@ fn golden_wal_v2_file_still_scans() {
 }
 
 #[test]
+fn golden_wal_v2_segment_with_a_damaged_magic_is_refused_and_left_untouched() {
+    // Five acknowledged records behind a flipped first byte: the segment
+    // is far longer than a header, so it cannot be a torn header and must
+    // not be deleted (a cold start would silently drop the records).
+    if std::env::var_os("GF_UPDATE_GOLDEN").is_some() {
+        return; // fixture may not exist yet during regeneration
+    }
+    let mut damaged = fs::read(golden_dir().join("wal-segment-v2.bin")).unwrap();
+    damaged[0] ^= 0xFF;
+    let dir = tmpdir("wal-v2-magic");
+    let path = dir.join(format!("wal-{:020}.log", 1));
+    fs::write(&path, &damaged).unwrap();
+    assert!(matches!(
+        Wal::open(&dir, SyncMode::Always),
+        Err(PersistError::Corrupt(_))
+    ));
+    assert!(matches!(
+        gf_persist::wal::scan(&dir),
+        Err(PersistError::Corrupt(_))
+    ));
+    assert_eq!(
+        fs::read(&path).unwrap(),
+        damaged,
+        "segment must be untouched"
+    );
+    assert_eq!(fs::read_dir(&dir).unwrap().count(), 1, "no segment added");
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn golden_checkpoint_file_still_loads() {
     // Guard the *reader* too: a checked-in fixture from the current format
     // version must decode on every future build of this major version.

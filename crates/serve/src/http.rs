@@ -14,7 +14,9 @@
 //! ## Endpoints (`/v1`)
 //!
 //! The whole surface lives under the versioned `/v1/` namespace; any
-//! other path answers 404 `unknown_endpoint`.
+//! other path answers 404 `unknown_endpoint`, whatever the method. A path
+//! in the table below under a method it does not list answers 405
+//! `method_not_allowed`.
 //!
 //! | method & path | body | answer |
 //! |---------------|------|--------|
@@ -104,7 +106,8 @@ fn gf_error_response(err: &GfError) -> (u16, Json) {
 /// endpoint. Dispatch is the `match` in [`route_full`]; this table is
 /// the declarative mirror that `tests/routes.rs` checks against the
 /// module-doc and README endpoint tables, so the three can never drift
-/// apart silently.
+/// apart silently. It is also the one list [`route_full`] consults to
+/// tell a wrong method on a known path (405) from an unknown path (404).
 pub const ROUTE_TABLE: &[(&str, &str)] = &[
     ("GET", "/v1/health"),
     ("GET", "/v1/stats"),
@@ -302,22 +305,42 @@ pub fn route_full(state: &ServeState, req: &HttpRequest) -> RouteOutcome {
         ("POST", "/v1/grouping") => create_grouping(state, &req.body),
         ("POST", "/v1/rate") => rate(state, &req.body),
         ("POST", "/v1/feedback") => feedback(state, &req.body),
-        ("GET" | "POST", _) => (
+        (_, path)
+            if ROUTE_TABLE
+                .iter()
+                .any(|(_, pattern)| path_matches(pattern, path)) =>
+        {
+            (
+                405,
+                error_body(
+                    "method_not_allowed",
+                    format!("method {} not allowed", req.method),
+                ),
+            )
+        }
+        _ => (
             404,
             error_body(
                 "unknown_endpoint",
                 format!("no such endpoint: {}", req.path),
             ),
         ),
-        _ => (
-            405,
-            error_body(
-                "method_not_allowed",
-                format!("method {} not allowed", req.method),
-            ),
-        ),
     };
     RouteOutcome { status, body }
+}
+
+/// Whether `path` fits a [`ROUTE_TABLE`] pattern: same segment count,
+/// literal segments equal, each `{placeholder}` matching one non-empty
+/// segment.
+fn path_matches(pattern: &str, path: &str) -> bool {
+    let (mut want, mut got) = (pattern.split('/'), path.split('/'));
+    loop {
+        match (want.next(), got.next()) {
+            (None, None) => return true,
+            (Some(w), Some(g)) if w == g || (w.starts_with('{') && !g.is_empty()) => {}
+            _ => return false,
+        }
+    }
 }
 
 fn top_k_json(top_k: &[(u32, f64)]) -> Json {
@@ -869,30 +892,25 @@ mod tests {
         ServeState::new(matrix, cfg).unwrap()
     }
 
-    fn get(state: &ServeState, path: &str) -> (u16, Json) {
+    fn call(state: &ServeState, method: &str, path: &str, body: &str) -> (u16, Json) {
         route(
             state,
             &HttpRequest {
-                method: "GET".into(),
-                path: path.into(),
-                query: String::new(),
-                body: String::new(),
-                keep_alive: true,
-            },
-        )
-    }
-
-    fn post(state: &ServeState, path: &str, body: &str) -> (u16, Json) {
-        route(
-            state,
-            &HttpRequest {
-                method: "POST".into(),
+                method: method.into(),
                 path: path.into(),
                 query: String::new(),
                 body: body.into(),
                 keep_alive: true,
             },
         )
+    }
+
+    fn get(state: &ServeState, path: &str) -> (u16, Json) {
+        call(state, "GET", path, "")
+    }
+
+    fn post(state: &ServeState, path: &str, body: &str) -> (u16, Json) {
+        call(state, "POST", path, body)
     }
 
     #[test]
@@ -1026,17 +1044,17 @@ mod tests {
     #[test]
     fn wrong_method_is_405() {
         let s = test_state();
-        let (status, _) = route(
-            &s,
-            &HttpRequest {
-                method: "DELETE".into(),
-                path: "/v1/health".into(),
-                query: String::new(),
-                body: String::new(),
-                keep_alive: true,
-            },
-        );
-        assert_eq!(status, 405);
+        // 405 only where the path exists under another method ...
+        assert_eq!(call(&s, "DELETE", "/v1/health", "").0, 405);
+        assert_eq!(get(&s, "/v1/rate").0, 405);
+        assert_eq!(get(&s, "/v1/form").0, 405);
+        assert_eq!(post(&s, "/v1/group/0", "").0, 405);
+        assert_eq!(call(&s, "PUT", "/v1/recommend/default/0", "").0, 405);
+        // ... an unknown path is 404 whatever the method.
+        assert_eq!(call(&s, "DELETE", "/nope", "").0, 404);
+        assert_eq!(call(&s, "DELETE", "/v1/nope", "").0, 404);
+        assert_eq!(post(&s, "/v1/group/0/1/2", "").0, 404);
+        assert_eq!(call(&s, "PUT", "/health", "").0, 404);
     }
 
     #[test]
@@ -1109,17 +1127,18 @@ mod tests {
             code(post(&s, "/v1/rate", r#"{"user":99,"item":0,"rating":5}"#)),
             (404, "unknown_user".into())
         );
-        let (status, _) = route(
-            &s,
-            &HttpRequest {
-                method: "DELETE".into(),
-                path: "/v1/health".into(),
-                query: String::new(),
-                body: String::new(),
-                keep_alive: true,
-            },
+        assert_eq!(
+            code(call(&s, "DELETE", "/v1/health", "")),
+            (405, "method_not_allowed".into())
         );
-        assert_eq!(status, 405);
+        assert_eq!(
+            code(get(&s, "/v1/rate")),
+            (405, "method_not_allowed".into())
+        );
+        assert_eq!(
+            code(call(&s, "DELETE", "/nope", "")),
+            (404, "unknown_endpoint".into())
+        );
     }
 
     #[test]

@@ -114,14 +114,6 @@ pub struct ServeConfig {
     /// Upper bound on how many rating updates one background re-formation
     /// pass applies; more pending updates simply take more passes.
     pub max_updates_per_pass: usize,
-    /// Repair-pass budget for the standing incremental formers
-    /// ([`IncrementalFormer::with_max_swaps`]): `None` (the default) keeps
-    /// the unbounded, exactly-cold repair; `Some(n)` caps how many buckets
-    /// one refresh may admit, bounding worst-case refresh latency at the
-    /// documented quality bound. A capped server still converges once
-    /// updates quiesce — the background worker runs catch-up passes over
-    /// an empty journal until the deferred admissions drain.
-    pub max_swaps: Option<usize>,
     /// Capacity of the sliding feedback window behind the online quality
     /// metrics (`/v1/feedback`, the `quality` block of `/v1/stats`). The
     /// window keeps the most recent consumptions only; the cumulative
@@ -131,15 +123,13 @@ pub struct ServeConfig {
 
 impl ServeConfig {
     /// Defaults: only the `"default"` grouping, a 5 ms batching window, at
-    /// most 1024 updates per pass, an unbounded repair budget and a
-    /// 1024-event feedback window.
+    /// most 1024 updates per pass and a 1024-event feedback window.
     pub fn new(formation: FormationConfig) -> Self {
         ServeConfig {
             formation,
             groupings: Vec::new(),
             batch_window: Duration::from_millis(5),
             max_updates_per_pass: 1024,
-            max_swaps: None,
             feedback_window: 1024,
         }
     }
@@ -159,13 +149,6 @@ impl ServeConfig {
     /// Overrides the per-pass update bound (clamped to at least 1).
     pub fn with_max_updates_per_pass(mut self, max: usize) -> Self {
         self.max_updates_per_pass = max.max(1);
-        self
-    }
-
-    /// Caps the incremental formers' per-refresh repair budget (see
-    /// [`ServeConfig::max_swaps`]).
-    pub fn with_max_swaps(mut self, max_swaps: usize) -> Self {
-        self.max_swaps = Some(max_swaps);
         self
     }
 
@@ -256,8 +239,7 @@ pub struct Snapshot {
     /// **per applied journal record**, so the version a given rating
     /// history produces is independent of how passes chunked the journal —
     /// a crash-replayed server lands on exactly the version the
-    /// uninterrupted run reached. `/v1/form` and capped-repair catch-up
-    /// passes advance it by one.
+    /// uninterrupted run reached. `/v1/form` advances it by one.
     pub version: u64,
     /// How much of the durable journal this snapshot bakes in.
     pub progress: Progress,
@@ -369,9 +351,32 @@ enum PendingEntry {
 }
 
 impl PendingEntry {
+    /// The `seq` a freshly accepted entry carries until
+    /// [`ServeState::journal`] assigns its real one (sequences start at 1).
+    const UNSEQUENCED: u64 = 0;
+
     fn seq(&self) -> u64 {
         match self {
             PendingEntry::Rating { seq, .. } | PendingEntry::Feedback { seq, .. } => *seq,
+        }
+    }
+
+    fn set_seq(&mut self, to: u64) {
+        match self {
+            PendingEntry::Rating { seq, .. } | PendingEntry::Feedback { seq, .. } => *seq = to,
+        }
+    }
+
+    /// Appends this entry to the WAL as one record, returning its
+    /// sequence number.
+    fn append_to(&self, wal: &mut Wal) -> gf_persist::Result<u64> {
+        match self {
+            PendingEntry::Rating {
+                user, item, score, ..
+            } => wal.append(&[(*user, *item, *score)]),
+            PendingEntry::Feedback {
+                user, item, scope, ..
+            } => wal.append_feedback(*user, *item, scope.as_deref()),
         }
     }
 }
@@ -442,8 +447,6 @@ pub struct ServeState {
     wakeup: Condvar,
     batcher: Batcher,
     max_updates_per_pass: usize,
-    /// Repair budget applied to every (re-)initialized standing former.
-    max_swaps: Option<usize>,
     /// Standing incremental formers, one per grouping name (built lazily
     /// on a grouping's first incremental-eligible pass; only ever touched
     /// under `writer`).
@@ -509,7 +512,6 @@ impl ServeState {
             wakeup: Condvar::new(),
             batcher: Batcher::new(cfg.batch_window),
             max_updates_per_pass: cfg.max_updates_per_pass.max(1),
-            max_swaps: cfg.max_swaps,
             formers: Mutex::new(BTreeMap::new()),
             raw_ids: OnceLock::new(),
             candidates: Mutex::new(CandidateCache {
@@ -525,7 +527,7 @@ impl ServeState {
     /// its checkpointed version, and any grouping whose checkpoint
     /// carried a standing-former state is imported warm so its first
     /// post-restart pass stays on the dirty-bucket path. Non-formation
-    /// knobs (batch window, pass bounds, repair budget) come from `cfg`;
+    /// knobs (batch window, pass bounds, feedback window) come from `cfg`;
     /// the *formation* configurations are the checkpoint's — they are
     /// part of the durable state a `/v1/form` may have changed since boot
     /// flags were last read.
@@ -542,10 +544,7 @@ impl ServeState {
         let mut formers = BTreeMap::new();
         for g in ck.groupings {
             if let Some(state) = g.former {
-                let mut former = IncrementalFormer::import_state(&matrix, g.config, &state)?;
-                if let Some(max_swaps) = cfg.max_swaps {
-                    former = former.with_max_swaps(max_swaps);
-                }
+                let former = IncrementalFormer::import_state(&matrix, g.config, &state)?;
                 formers.insert(
                     g.name.clone(),
                     FormerSlot {
@@ -618,7 +617,6 @@ impl ServeState {
             wakeup: Condvar::new(),
             batcher: Batcher::new(cfg.batch_window),
             max_updates_per_pass: cfg.max_updates_per_pass.max(1),
-            max_swaps: cfg.max_swaps,
             formers: Mutex::new(formers),
             raw_ids: OnceLock::new(),
             candidates: Mutex::new(CandidateCache {
@@ -670,31 +668,12 @@ impl ServeState {
         if !matrix.scale().contains(score) {
             return Err(GfError::ScaleViolation { user, item, score });
         }
-        let mut q = self.pending.lock().expect("pending lock poisoned");
-        // Journal before acknowledging: when a WAL is attached, the record
-        // must be on disk (per the sync mode) before this call can return
-        // Ok. A failed append rejects the rating — nothing is enqueued, so
-        // the durable log never lags the accepted set.
-        let journaled = q.wal.is_some();
-        let seq = match q.wal.as_mut() {
-            Some(wal) => wal.append(&[(user, item, score)]).map_err(GfError::from)?,
-            None => q.next_seq,
-        };
-        q.next_seq = seq + 1;
-        q.entries.push(PendingEntry::Rating {
-            seq,
+        self.journal(PendingEntry::Rating {
+            seq: PendingEntry::UNSEQUENCED,
             user,
             item,
             score,
-        });
-        let depth = q.entries.len();
-        drop(q);
-        self.stats.rates_accepted.fetch_add(1, Ordering::Relaxed);
-        if journaled {
-            self.stats.wal_records.fetch_add(1, Ordering::Relaxed);
-        }
-        self.wakeup.notify_one();
-        Ok(depth)
+        })
     }
 
     /// Accepts one feedback event (`user` consumed `item`) into the
@@ -728,24 +707,47 @@ impl ServeState {
                 )));
             }
         }
-        let mut q = self.pending.lock().expect("pending lock poisoned");
-        let journaled = q.wal.is_some();
-        let seq = match q.wal.as_mut() {
-            Some(wal) => wal
-                .append_feedback(user, item, scope)
-                .map_err(GfError::from)?,
-            None => q.next_seq,
-        };
-        q.next_seq = seq + 1;
-        q.entries.push(PendingEntry::Feedback {
-            seq,
+        self.journal(PendingEntry::Feedback {
+            seq: PendingEntry::UNSEQUENCED,
             user,
             item,
             scope: scope.map(String::from),
-        });
+        })
+    }
+
+    /// The one path into the pending journal, shared by
+    /// [`ServeState::rate`], [`ServeState::feedback`] and WAL replay.
+    ///
+    /// Journal before acknowledging: when a WAL is attached, the entry is
+    /// appended (and synced per the sync mode) inside the `pending`
+    /// critical section, *before* it is queued, so on-disk order is queue
+    /// order. A failed append rejects the entry — nothing is queued, so
+    /// the durable log never lags the accepted set. A fresh entry
+    /// ([`PendingEntry::UNSEQUENCED`]) takes the WAL's sequence number, or
+    /// the in-memory counter when running volatile; a replayed entry keeps
+    /// its original one (replay runs before the WAL is attached). Returns
+    /// the number of entries now pending.
+    fn journal(&self, mut entry: PendingEntry) -> Result<usize> {
+        let counter = match &entry {
+            PendingEntry::Rating { .. } => &self.stats.rates_accepted,
+            PendingEntry::Feedback { .. } => &self.stats.feedback_accepted,
+        };
+        let mut q = self.pending.lock().expect("pending lock poisoned");
+        let journaled = q.wal.is_some();
+        let seq = match q.wal.as_mut() {
+            Some(wal) => {
+                debug_assert_eq!(entry.seq(), PendingEntry::UNSEQUENCED);
+                entry.append_to(wal).map_err(GfError::from)?
+            }
+            None if entry.seq() == PendingEntry::UNSEQUENCED => q.next_seq,
+            None => entry.seq(),
+        };
+        entry.set_seq(seq);
+        q.next_seq = seq + 1;
+        q.entries.push(entry);
         let depth = q.entries.len();
         drop(q);
-        self.stats.feedback_accepted.fetch_add(1, Ordering::Relaxed);
+        counter.fetch_add(1, Ordering::Relaxed);
         if journaled {
             self.stats.wal_records.fetch_add(1, Ordering::Relaxed);
         }
@@ -860,16 +862,7 @@ impl ServeState {
                 scope: scope.clone(),
             },
         };
-        let counter = match &entry {
-            PendingEntry::Rating { .. } => &self.stats.rates_accepted,
-            PendingEntry::Feedback { .. } => &self.stats.feedback_accepted,
-        };
-        let mut q = self.pending.lock().expect("pending lock poisoned");
-        q.next_seq = rec.seq + 1;
-        q.entries.push(entry);
-        drop(q);
-        counter.fetch_add(1, Ordering::Relaxed);
-        Ok(())
+        self.journal(entry).map(drop)
     }
 
     /// Attaches the durable journal. Call *after* replay has been
@@ -1081,10 +1074,7 @@ impl ServeState {
                     // (Re-)initialize this grouping's standing former on
                     // the already patched matrix; subsequent passes patch
                     // it in place.
-                    let mut former = IncrementalFormer::new(&matrix, &prefs, cfg)?;
-                    if let Some(max_swaps) = self.max_swaps {
-                        former = former.with_max_swaps(max_swaps);
-                    }
+                    let former = IncrementalFormer::new(&matrix, &prefs, cfg)?;
                     formers.insert(
                         name.clone(),
                         FormerSlot {
@@ -1157,93 +1147,11 @@ impl ServeState {
         Ok(chunk.len())
     }
 
-    /// One catch-up pass for a capped repair budget
-    /// ([`ServeConfig::with_max_swaps`]): when the journal is empty but
-    /// some grouping's standing former had to defer bucket admissions on
-    /// its last refresh ([`IncrementalFormer::selection_lag`] > 0), an
-    /// empty refresh admits the next budget's worth for every such
-    /// grouping and installs the improved snapshot. Returns whether a
-    /// pass ran (callers loop until `false`). With an unbounded budget
-    /// (the default) the lag is always 0 and this is a no-op.
-    pub fn catch_up(&self) -> Result<bool> {
-        let _writer = self.writer.lock().expect("writer lock poisoned");
-        if !self
-            .pending
-            .lock()
-            .expect("pending lock poisoned")
-            .entries
-            .is_empty()
-        {
-            return Ok(false); // real updates take priority; they catch up too
-        }
-        let current = self.snapshot();
-        let mut formers = self.formers.lock().expect("formers lock poisoned");
-        let mut improved: Vec<(String, FormationResult)> = Vec::new();
-        for (name, s) in formers.iter_mut() {
-            let Some(g) = current.groupings.get(name) else {
-                continue;
-            };
-            if s.synced_version != g.version
-                || s.former.config() != &g.config
-                || s.former.selection_lag() <= 0.0
-            {
-                continue;
-            }
-            let lag_before = s.former.selection_lag();
-            s.former.refresh(&current.matrix, &current.prefs, &[])?;
-            if s.former.selection_lag() >= lag_before {
-                // A zero budget (or a tie) makes no progress; installing
-                // the identical formation forever would spin. Keep the
-                // bounded snapshot — the quality bound still holds.
-                continue;
-            }
-            improved.push((name.clone(), s.former.result().clone()));
-        }
-        if improved.is_empty() {
-            return Ok(false);
-        }
-        let next_version = current.version + 1;
-        let mut groupings = current.groupings.clone();
-        for (name, formation) in improved {
-            formers
-                .get_mut(&name)
-                .expect("iterated above")
-                .synced_version = next_version;
-            let g = &current.groupings[&name];
-            let assignment = formation.grouping.assignment(current.matrix.n_users());
-            groupings.insert(
-                name,
-                Arc::new(GroupingState {
-                    config: g.config,
-                    formation,
-                    assignment,
-                    version: next_version,
-                }),
-            );
-            self.stats
-                .refresh_incremental
-                .fetch_add(1, Ordering::Relaxed);
-        }
-        drop(formers);
-        self.install(Snapshot {
-            matrix: Arc::clone(&current.matrix),
-            prefs: Arc::clone(&current.prefs),
-            groupings,
-            version: next_version,
-            progress: current.progress,
-            feedback: Arc::clone(&current.feedback),
-        });
-        self.stats.refresh_passes.fetch_add(1, Ordering::Relaxed);
-        Ok(true)
-    }
-
     /// Synchronously applies *all* pending updates (possibly over several
-    /// bounded passes), then drains any capped-repair catch-up. After
-    /// `flush` returns, queries see every rating accepted before the call
-    /// and every capped former has converged as far as its budget allows.
+    /// bounded passes). After `flush` returns, queries see every rating
+    /// accepted before the call.
     pub fn flush(&self) -> Result<()> {
         while self.process_pending()? > 0 {}
-        while self.catch_up()? {}
         Ok(())
     }
 
@@ -1294,15 +1202,10 @@ impl ServeState {
             // A same-configuration `/v1/form` reproduces exactly the greedy
             // formation the grouping's standing former maintains, so its
             // lineage is still valid — re-sync it instead of letting the
-            // next pass rebuild the former cold. (A capped former
-            // mid-repair is excluded: its bounded formation differs from
-            // the fresh one.)
+            // next pass rebuild the former cold.
             let mut formers = self.formers.lock().expect("formers lock poisoned");
             if let (Some(s), Some(prev)) = (formers.get_mut(name), prev.as_ref()) {
-                if s.synced_version == prev.version
-                    && s.former.config() == &cfg
-                    && s.former.selection_lag() <= 0.0
-                {
+                if s.synced_version == prev.version && s.former.config() == &cfg {
                     s.synced_version = next_version;
                 }
             }
@@ -1328,12 +1231,6 @@ impl ServeState {
             // A failure here means a validated update stopped applying —
             // only possible through a serve-layer bug; surface loudly.
             self.process_pending().expect("background pass failed");
-            // Once the journal drains, let a capped repair budget converge
-            // before parking again (no-op under the default unbounded
-            // budget).
-            if self.pending_len() == 0 {
-                while self.catch_up().expect("catch-up pass failed") {}
-            }
         }
     }
 

@@ -13,9 +13,6 @@
 //! Three kill points: before any checkpoint exists (WAL-only recovery),
 //! between rapid periodic checkpoints (checkpoint + tail), and a
 //! double-crash immediately after a recovery (recover-from-recovery).
-//! None of them use `--max-swaps`: exact version equality is guaranteed
-//! under the default unbounded repair budget only (capped servers run
-//! catch-up passes that advance the version without journal records).
 //!
 //! Every server runs a three-entry grouping registry — `default`
 //! (least-misery), `av` (average) and `cons` (consensus) — over the one
